@@ -193,7 +193,8 @@ impl Manager {
     }
 
     /// Does `f ⇒ g` hold for all assignments? (Set inclusion when BDDs
-    /// denote sets.) Computed without materializing the implication.
+    /// denote sets.) Computed as `¬(f ∧ ¬g ≠ ∅)`: only `¬g` is built (and
+    /// memoized), never the implication or the difference.
     pub fn implies_holds(&mut self, f: Bdd, g: Bdd) -> bool {
         expect_budget(self.try_implies_holds(f, g))
     }
@@ -201,19 +202,48 @@ impl Manager {
     /// Fallible set-inclusion test.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_implies_holds(&mut self, f: Bdd, g: Bdd) -> Result<bool, BddError> {
-        Ok(self.try_diff(f, g)?.is_false())
+        let ng = self.try_not(g)?;
+        Ok(!self.try_intersects(f, ng)?)
     }
 
     /// Do `f` and `g` share a satisfying assignment? (Set intersection
-    /// non-emptiness.)
+    /// non-emptiness.) Creates no node.
     pub fn intersects(&mut self, f: Bdd, g: Bdd) -> bool {
         expect_budget(self.try_intersects(f, g))
     }
 
-    /// Fallible intersection-non-emptiness test.
+    /// Fallible intersection-non-emptiness test. Walks the cofactor pairs
+    /// of `f ∧ g` and stops at the first one that is satisfiable, so it
+    /// builds nothing. A memoized `f ∧ g` answers at once; a pair found
+    /// disjoint is recorded in the AND cache as `f ∧ g = false`, which is
+    /// exactly the conjunction's value, so later `and` calls hit it too.
     #[must_use = "a budget violation is reported through the Result"]
-    pub fn try_intersects(&mut self, f: Bdd, g: Bdd) -> Result<bool, BddError> {
-        Ok(!self.try_and(f, g)?.is_false())
+    pub fn try_intersects(&mut self, mut f: Bdd, mut g: Bdd) -> Result<bool, BddError> {
+        self.tick()?;
+        // The terminal cases of `And`, read as emptiness.
+        if f.is_false() || g.is_false() {
+            return Ok(false);
+        }
+        if f.is_true() || g.is_true() || f == g {
+            return Ok(true);
+        }
+        if f.0 > g.0 {
+            std::mem::swap(&mut f, &mut g);
+        }
+        let key = (BinOp::And, f.0, g.0);
+        self.cache_lookups += 1;
+        if let Some(&r) = self.bin_cache.get(&key) {
+            self.cache_hits += 1;
+            return Ok(!Bdd(r).is_false());
+        }
+        let top = self.level(f).min(self.level(g));
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        if self.try_intersects(f0, g0)? || self.try_intersects(f1, g1)? {
+            return Ok(true);
+        }
+        self.bin_cache.insert(key, Bdd::FALSE.0);
+        Ok(false)
     }
 
     /// Both cofactors of `f` with respect to the variable at `level`

@@ -1,7 +1,7 @@
 //! Cross-cutting unit tests for the BDD package: a brute-force truth-table
 //! oracle over few variables, exercising all operations together.
 
-use crate::{Bdd, Manager, VarId};
+use crate::{Bdd, Budget, Manager, Resource, VarId};
 
 /// Build every assignment of `n` variables.
 fn assignments(n: usize) -> Vec<Vec<bool>> {
@@ -140,6 +140,58 @@ fn gc_mid_computation_preserves_roots() {
     m.gc(&[h]);
     for asg in assignments(5) {
         assert_eq!(m.eval(h, &asg), oracle_f(&asg) && oracle_g(&asg));
+    }
+}
+
+/// Differential test of the node-free emptiness tests: over random pairs
+/// on up to 10 variables, `intersects` and `implies_holds` must agree with
+/// the materialized `and`/`diff`, both on empty caches and on caches warm
+/// with every pair's conjunction. `intersects` must create no node, the
+/// `f ∧ g = false` entries it leaves in the AND cache must be exact, and a
+/// one-tick budget must still stop it.
+#[test]
+fn emptiness_tests_agree_with_materialized_ops() {
+    for seed in 0..120u64 {
+        let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let n = 1 + (rng.next() % 10) as usize;
+        let mut m = Manager::new();
+        let vars = m.new_vars(n);
+        let fs: Vec<Bdd> = (0..4).map(|_| random_expr(&mut m, &vars, &mut rng, 6).0).collect();
+        let asgs = assignments(n);
+        for warm in [false, true] {
+            if warm {
+                for &f in &fs {
+                    for &g in &fs {
+                        m.and(f, g);
+                    }
+                }
+            }
+            for &f in &fs {
+                for &g in &fs {
+                    if !warm {
+                        m.gc(&fs); // drops every operation cache
+                        if !f.is_const() && !g.is_const() && f != g {
+                            m.set_budget(Budget::unlimited().with_max_ticks(1));
+                            let err = m.try_intersects(f, g).expect_err("one tick cannot suffice");
+                            assert_eq!(err.resource(), Resource::Ticks, "seed {seed}");
+                            m.clear_budget();
+                        }
+                    }
+                    let live = m.stats().live_nodes;
+                    let meets = m.intersects(f, g);
+                    assert_eq!(m.stats().live_nodes, live, "seed {seed}: intersects built nodes");
+                    let included = m.implies_holds(f, g);
+                    let conj = m.and(f, g);
+                    let d = m.diff(f, g);
+                    assert_eq!(meets, !conj.is_false(), "seed {seed} warm={warm}: intersects");
+                    assert_eq!(included, d.is_false(), "seed {seed} warm={warm}: implies_holds");
+                    for a in &asgs {
+                        let want = m.eval(f, a) && m.eval(g, a);
+                        assert_eq!(m.eval(conj, a), want, "seed {seed} warm={warm}: and at {a:?}");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -25,6 +25,7 @@
 //! The series lands in `results/service_throughput.csv`.
 
 use std::time::{Duration, Instant};
+use stsyn_bench::percentile;
 use stsyn_serve::{
     Client, JobSource, Json, Router, RouterConfig, Server, ServerConfig, ShutdownMode, SubmitSpec,
 };
@@ -192,8 +193,8 @@ fn drive(addr: std::net::SocketAddr, jobs: usize, clients: usize) -> (Row, Vec<u
     let ids: Vec<u64> = per_job.iter().map(|&(id, _)| id).collect();
     let mut latency_ms: Vec<f64> = per_job.iter().map(|&(_, l)| l).collect();
     latency_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p50_latency_ms = latency_ms[latency_ms.len().saturating_sub(1) / 2];
-    let p99_latency_ms = latency_ms[(latency_ms.len().saturating_sub(1)) * 99 / 100];
+    let p50_latency_ms = percentile(&latency_ms, 50.0);
+    let p99_latency_ms = percentile(&latency_ms, 99.0);
 
     // Queue latency: how long each job sat before a worker claimed it
     // (`status` proxies shard-aware through a router).
@@ -206,7 +207,7 @@ fn drive(addr: std::net::SocketAddr, jobs: usize, clients: usize) -> (Row, Vec<u
         .collect();
     queue_ms.sort_unstable();
     let mean_queue_ms = queue_ms.iter().sum::<u64>() as f64 / queue_ms.len().max(1) as f64;
-    let p95_queue_ms = queue_ms[(queue_ms.len().saturating_sub(1)) * 95 / 100];
+    let p95_queue_ms = percentile(&queue_ms, 95.0);
 
     (
         Row {
@@ -230,10 +231,10 @@ fn drive(addr: std::net::SocketAddr, jobs: usize, clients: usize) -> (Row, Vec<u
     )
 }
 
-/// Percentiles over an unsorted latency sample (consumes it).
+/// Nearest-rank p50 and p99 of an unsorted latency sample (consumes it).
 fn p50_p99(mut ms: Vec<f64>) -> (f64, f64) {
     ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (ms[ms.len().saturating_sub(1) / 2], ms[(ms.len().saturating_sub(1)) * 99 / 100])
+    (percentile(&ms, 50.0), percentile(&ms, 99.0))
 }
 
 /// Cold batch vs store-hit resubmission: distinct workloads (so no

@@ -218,7 +218,8 @@ pub struct EngineRow {
     pub ranking_secs: f64,
     /// Seconds in SCC detection.
     pub scc_secs: f64,
-    /// Total synthesis seconds (including re-verification).
+    /// Total synthesis seconds. The model check behind `verified` runs
+    /// afterwards and is not included.
     pub total_secs: f64,
     /// Peak live BDD nodes over the whole run — the quantity the
     /// partitioned engines exist to reduce.
@@ -426,9 +427,31 @@ pub fn format_space_figure(title: &str, rows: &[Row]) -> String {
     out
 }
 
+/// Nearest-rank percentile of an ascending-sorted, non-empty sample: the
+/// smallest observed value with at least `p` percent of the sample at or
+/// below it. With fewer than 100 samples, p99 is the maximum.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    assert!(!sorted.is_empty(), "percentile of an empty sample");
+    // `p · n` first: exact for whole-number `p`, so `ceil` cannot overshoot.
+    let rank = (p * sorted.len() as f64 / 100.0).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_percentiles() {
+        let twelve: Vec<f64> = (1..=12).map(f64::from).collect();
+        assert_eq!(percentile(&twelve, 50.0), 6.0);
+        assert_eq!(percentile(&twelve, 95.0), 12.0);
+        assert_eq!(percentile(&twelve, 99.0), 12.0, "p99 of 12 samples is the maximum");
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 99.0), 99);
+        assert_eq!(percentile(&hundred, 100.0), 100);
+        assert_eq!(percentile(&[7u64], 50.0), 7);
+    }
 
     #[test]
     fn small_sweeps_produce_verified_rows() {

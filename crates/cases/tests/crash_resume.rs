@@ -15,6 +15,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stsyn_bdd::Budget;
 use stsyn_cases::{coloring, matching, token_ring};
+use stsyn_core::checkpoint::{self, Record};
 use stsyn_core::{AddConvergence, Options, Outcome, SynthesisError};
 use stsyn_protocol::expr::Expr;
 use stsyn_protocol::Protocol;
@@ -94,9 +95,8 @@ fn sweep(tag: &str, p: &Protocol, i: &Expr, points: u64) -> u64 {
                 crashed_and_resumed += 1;
             }
             Ok(outcome) => {
-                // Injection landed after the last BDD op (e.g. in the
-                // debug-build verification pass, which replays no ticks in
-                // release); the run completed — it must still be correct.
+                // Injection landed after the last BDD op; the run
+                // completed — it must still be correct.
                 assert_eq!(want, printed(&outcome, i), "{tag}: tick {n}: output differs");
             }
             Err(e) => panic!("{tag}: tick {n}: unexpected error: {e}"),
@@ -129,6 +129,48 @@ fn token_ring_crash_sweep_resumes_bit_identical() {
     let points = points_per_case(20);
     let exercised = sweep("tokenring32", &p, &i, points);
     assert!(exercised > 0, "sweep exercised no crash points");
+}
+
+/// A cut inside a schedule step that kept two or more groups: the journal
+/// holds the step's `Group` records but not its `StepDone` fence, as after
+/// a kill between the two appends. The resume commits those groups as one
+/// batch through the same function a live step uses, finishes the step
+/// live, and must end bit-identical, with the groups in the same order.
+#[test]
+fn cut_inside_a_multi_group_step_resumes_bit_identical() {
+    let (p, i) = coloring::coloring(4);
+    let problem = AddConvergence::new(p, i.clone()).unwrap();
+    let dir = temp_dir("multi-group");
+    let reference = problem.synthesize_resumable(&Options::default(), &dir).unwrap();
+
+    // Walk the journal frame by frame (u32 length, u32 CRC, payload) to
+    // the StepDone of the first step with at least two groups.
+    let path = dir.join(checkpoint::JOURNAL_FILE);
+    let bytes = std::fs::read(&path).unwrap();
+    let records = checkpoint::read_journal(&path).unwrap().records;
+    let mut pos = checkpoint::JOURNAL_MAGIC.len() + 4;
+    let mut groups_in_step = 0;
+    let mut cut = None;
+    for rec in &records {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        match rec {
+            Record::Group { .. } => groups_in_step += 1,
+            Record::StepDone { .. } if groups_in_step >= 2 => {
+                cut = Some(pos);
+                break;
+            }
+            Record::StepDone { .. } => groups_in_step = 0,
+            _ => {}
+        }
+        pos += 8 + len;
+    }
+    let cut = cut.expect("coloring(4) has a step that keeps two or more groups");
+    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(cut as u64).unwrap();
+
+    let resumed = problem.synthesize_resumable(&Options::default(), &dir).unwrap();
+    assert_eq!(printed(&reference, &i), printed(&resumed, &i));
+    assert_eq!(reference.added, resumed.added, "groups committed in a different order");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A run crashed *twice* (injection during the resumed run as well) must

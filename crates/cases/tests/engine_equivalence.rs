@@ -7,7 +7,7 @@
 
 use stsyn_cases::{coloring, matching, mis, token_ring, two_ring};
 use stsyn_core::job::JobSpec;
-use stsyn_core::Engine;
+use stsyn_core::{AddConvergence, Engine, Options};
 use stsyn_protocol::expr::Expr;
 use stsyn_protocol::group::groups_of_protocol;
 use stsyn_protocol::Protocol;
@@ -101,6 +101,26 @@ fn rank_tables_are_identical_layer_by_layer() {
         assert_eq!(mono.ranks, part.ranks, "{name}: rank layers differ");
         assert_eq!(mono.explored, part.explored, "{name}: explored sets differ");
         assert_eq!(mono.infinite, part.infinite, "{name}: infinite sets differ");
+    }
+}
+
+/// The partitioned engines verify the union of `pss_descs()` in place of
+/// `pss`. That is sound only while every group enters the result through
+/// the heuristic's batched commit, so the two must be the same BDD.
+#[test]
+fn pss_is_the_union_of_its_group_relations() {
+    for (name, p, i_expr) in all_cases() {
+        let problem = AddConvergence::new(p, i_expr).unwrap();
+        let mut out =
+            problem.synthesize(&Options::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let descs = out.pss_descs();
+        let ctx = out.ctx();
+        let mut union = ctx.mgr().zero();
+        for d in &descs {
+            let rel = ctx.group_relation(d);
+            union = ctx.mgr().or(union, rel);
+        }
+        assert_eq!(union, out.pss, "{name}: pss differs from the union of its groups");
     }
 }
 

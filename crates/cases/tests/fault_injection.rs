@@ -4,8 +4,8 @@
 //! error at the n-th BDD operation. Because the tick counter is a
 //! deterministic coordinate system over a synthesis run, sweeping `n`
 //! across the full run exercises an abort at every phase of the pipeline:
-//! compilation, preprocessing, candidate construction, ranking, each
-//! recovery pass, and verification. At every injection point the run must
+//! compilation, preprocessing, candidate construction, ranking and each
+//! recovery pass. At every injection point the run must
 //!
 //! 1. not panic,
 //! 2. surface `SynthesisError::ResourceExhausted` with the injected cause,

@@ -12,7 +12,8 @@
 //! * **C4** — no groupmate may end in a deadlock state (relaxed in Pass 2).
 //!
 //! The heuristic is **sound** (everything it returns verifies strongly
-//! stabilizing — and this implementation re-checks that) and incomplete:
+//! stabilizing — [`Outcome::try_verify_strong`] checks that independently,
+//! and [`crate::JobSpec`] always runs it) and incomplete:
 //! it may fail on protocols for which stabilizing versions exist, in which
 //! case [`crate::SynthesisError::DeadlocksRemain`] reports the residue.
 
@@ -112,8 +113,9 @@ impl Outcome {
 
     /// The group descriptors whose relations OR into `pss`: the input
     /// protocol's groups minus the preprocessed removals, plus the added
-    /// recovery — the partitioned engines rebuild `p_ss` from these.
-    fn pss_descs(&self) -> Vec<GroupDesc> {
+    /// recovery — the partitioned engines rebuild `p_ss` from these, so the
+    /// OR of their relations is exactly [`Outcome::pss`].
+    pub fn pss_descs(&self) -> Vec<GroupDesc> {
         let mut descs: Vec<GroupDesc> = groups_of_protocol(self.ctx.protocol())
             .into_iter()
             .filter(|g| !self.removed_from_p.contains(g))
@@ -253,21 +255,49 @@ impl Engine {
         self.ctx.gc(&roots);
     }
 
-    /// Commit candidate `ci`: extend the synthesized relation, its `¬I`
-    /// restriction and the enabled-state union, and append the group
-    /// descriptor. The **only** way a group enters the result — shared by
-    /// the live path and journal replay so both perform the identical
-    /// symbolic updates.
-    fn include_candidate(&mut self, ci: usize) -> Result<(), BddError> {
-        let rel = self.cands.all[ci].relation;
-        self.pss = self.ctx.mgr().try_or(self.pss, rel)?;
-        let rel_restricted = self.ctx.try_restrict_relation(rel, self.not_i)?;
-        self.pss_restricted = self.ctx.mgr().try_or(self.pss_restricted, rel_restricted)?;
-        let src = self.cands.all[ci].source;
-        self.enabled_union = self.ctx.mgr().try_or(self.enabled_union, src)?;
-        self.cands.all[ci].included = true;
-        self.added.push(self.cands.all[ci].desc.clone());
-        self.stats.groups_added += 1;
+    /// Commit the candidates `cis` as one batch: extend the synthesized
+    /// relation, its `¬I` restriction and the enabled-state union by the
+    /// unions of their relations and sources, then mark them included,
+    /// append their descriptors in order and journal them under `journal`.
+    /// `restricted`, when given, is the `¬I` restriction of exactly that
+    /// relation union. The **only** way a group enters the result — shared
+    /// by the live path and journal replay so both perform the identical
+    /// symbolic updates. All three unions finish before any bookkeeping
+    /// changes, so a budget error leaves `pss`, `added` and the journal
+    /// consistent.
+    fn commit_groups(
+        &mut self,
+        cis: &[usize],
+        restricted: Option<Bdd>,
+        journal: Option<(&mut CheckpointSession, (u8, u32, u32))>,
+    ) -> Result<(), StepError> {
+        if cis.is_empty() {
+            return Ok(());
+        }
+        let (mut rel, mut src) = (Bdd::FALSE, Bdd::FALSE);
+        for &ci in cis {
+            rel = self.ctx.mgr().try_or(rel, self.cands.all[ci].relation)?;
+            src = self.ctx.mgr().try_or(src, self.cands.all[ci].source)?;
+        }
+        let rel_restricted = match restricted {
+            Some(r) => r,
+            None => self.ctx.try_restrict_relation(rel, self.not_i)?,
+        };
+        let pss = self.ctx.mgr().try_or(self.pss, rel)?;
+        let pss_restricted = self.ctx.mgr().try_or(self.pss_restricted, rel_restricted)?;
+        let enabled_union = self.ctx.mgr().try_or(self.enabled_union, src)?;
+        (self.pss, self.pss_restricted, self.enabled_union) = (pss, pss_restricted, enabled_union);
+        let first = self.added.len();
+        for &ci in cis {
+            self.cands.all[ci].included = true;
+            self.added.push(self.cands.all[ci].desc.clone());
+        }
+        self.stats.groups_added += cis.len();
+        if let Some((c, (pass, rank, step))) = journal {
+            for desc in &self.added[first..] {
+                c.record_group(pass, rank, step, desc).map_err(StepError::Ckpt)?;
+            }
+        }
         Ok(())
     }
 
@@ -278,22 +308,19 @@ impl Engine {
         if groups.is_empty() {
             return Ok(());
         }
-        if self.cand_index.is_none() {
-            self.cand_index = Some(crate::symmetry::candidate_index(&self.cands));
-        }
+        let index =
+            self.cand_index.get_or_insert_with(|| crate::symmetry::candidate_index(&self.cands));
+        let mut cis = Vec::with_capacity(groups.len());
         for desc in groups {
-            let ci = match self.cand_index.as_ref().expect("built above").get(desc) {
-                Some(&ci) => ci,
+            match index.get(desc) {
+                Some(&ci) if !self.cands.all[ci].included && !cis.contains(&ci) => cis.push(ci),
+                Some(_) => {}
                 // The journal names a group this problem does not have:
                 // it belongs to a different run (fingerprint collision).
                 None => return Err(StepError::Ckpt(CheckpointError::Mismatch)),
-            };
-            if self.cands.all[ci].included {
-                continue;
             }
-            self.include_candidate(ci)?;
         }
-        Ok(())
+        self.commit_groups(&cis, None, None)
     }
 
     fn add_recovery(
@@ -423,7 +450,7 @@ impl Engine {
         let include_start = Instant::now();
         let tried = clusters.len();
         let mut kept = 0usize;
-        let mut changed = false;
+        let mut kept_cis: Vec<usize> = Vec::new();
         'cluster: for cluster in clusters {
             for &ci in &cluster {
                 let rel = self.cands.all[ci].relation;
@@ -436,16 +463,13 @@ impl Engine {
                     }
                 }
             }
-            for ci in cluster {
-                self.include_candidate(ci)?;
-                if let Some(c) = ckpt.as_deref_mut() {
-                    let desc = self.added.last().expect("just pushed").clone();
-                    c.record_group(key.0, key.1, key.2, &desc).map_err(StepError::Ckpt)?;
-                }
-            }
-            changed = true;
+            kept_cis.extend(cluster);
             kept += 1;
         }
+        // When every cluster survived, the kept union is `union_added`,
+        // whose `¬I` restriction is already at hand.
+        let restricted = (kept == tried).then_some(added_restricted);
+        self.commit_groups(&kept_cis, restricted, ckpt.as_deref_mut().map(|c| (c, key)))?;
         self.stats.include_time += include_start.elapsed();
         if self.ctx.mgr_ref().tracer().level_enabled(TraceLevel::Debug) {
             self.ctx.mgr_ref().tracer().debug(
@@ -460,7 +484,7 @@ impl Engine {
                 ],
             );
         }
-        Ok(changed)
+        Ok(kept > 0)
     }
 
     /// `Add_Convergence` (Fig. 3): walk the recovery schedule, letting each
@@ -934,33 +958,6 @@ pub(crate) fn synthesize_checkpointed(
         schedule,
         engine: opts.engine,
     };
-    // Soundness backstop (Theorem V.2): the heuristic's output is correct
-    // by construction; verify anyway (debug builds) and treat failure as a
-    // bug. The verification pass itself runs under the budget.
-    #[cfg(debug_assertions)]
-    {
-        let _verification_span = tracer.span("phase.verification");
-        if opts.budget.is_some() {
-            let roots = [outcome.pss, outcome.i, outcome.delta_p];
-            outcome.ctx.register_roots(&roots);
-        }
-        match outcome.try_verify_strong() {
-            Ok(verified) => {
-                assert!(verified, "synthesized protocol failed verification")
-            }
-            Err(cause) => {
-                let layered = outcome.stats.max_rank + 1;
-                let added = outcome.added.clone();
-                return Err(resource_err(
-                    &outcome.ctx,
-                    Phase::Verification,
-                    cause,
-                    layered,
-                    &added,
-                ));
-            }
-        }
-    }
     outcome.stats.bdd_ticks = outcome.ctx.mgr_ref().ticks_used();
     outcome.stats.total_time = start.elapsed();
     if tracer.level_enabled(TraceLevel::Info) {

@@ -9,9 +9,10 @@
 //! 2. `p_ss | I = p | I` (no interference with fault-free behaviour), and
 //! 3. `p_ss` strongly (or weakly) converges to `I`
 //!
-//! — Problem III.1. The solution is *correct by construction*, and this
-//! implementation re-verifies every output with an independent symbolic
-//! model-checking pass.
+//! — Problem III.1. The solution is *correct by construction*, and
+//! [`JobSpec`] (behind the CLI and the daemon) re-verifies every output
+//! with an independent symbolic model-checking pass
+//! ([`Outcome::try_verify_strong`]).
 //!
 //! ## Pipeline
 //!
