@@ -46,45 +46,6 @@ impl Manager {
         self.and_exists_rec(f, g, vars, 0)
     }
 
-    /// Clustered relational product `∃(∪ schedule). ops[0] ∧ … ∧ ops[k]`
-    /// with early quantification: `schedule[i]` is eliminated as soon as
-    /// `ops[i]` has been conjoined, so intermediate results never carry
-    /// variables no later operand mentions.
-    ///
-    /// The caller guarantees the schedule is *sound*: `schedule[i]` may
-    /// only contain variables that occur in none of `ops[i+1..]`.
-    /// Partitioned image/preimage computes such a schedule statically
-    /// from the partitions' support sets. With a sound schedule the
-    /// result equals quantifying the full conjunction at once, but the
-    /// peak intermediate size is bounded by the largest *cluster*
-    /// product instead of the full-width one.
-    pub fn and_exists_many(&mut self, ops: &[Bdd], schedule: &[VarSetId]) -> Bdd {
-        expect_budget(self.try_and_exists_many(ops, schedule))
-    }
-
-    /// Fallible clustered relational product. See
-    /// [`Manager::and_exists_many`]; `ops` and `schedule` must have the
-    /// same length (an empty product is `true`).
-    #[must_use = "a budget violation is reported through the Result"]
-    pub fn try_and_exists_many(
-        &mut self,
-        ops: &[Bdd],
-        schedule: &[VarSetId],
-    ) -> Result<Bdd, BddError> {
-        assert_eq!(ops.len(), schedule.len(), "one quantification cube per operand");
-        let Some((&first, rest)) = ops.split_first() else {
-            return Ok(Bdd::TRUE);
-        };
-        let mut acc = self.try_exists(first, schedule[0])?;
-        for (&op, &cube) in rest.iter().zip(&schedule[1..]) {
-            if acc.is_false() {
-                return Ok(Bdd::FALSE);
-            }
-            acc = self.try_and_exists(acc, op, cube)?;
-        }
-        Ok(acc)
-    }
-
     /// Recursion for `exists`. `cursor` indexes into the sorted level list
     /// of `vars` and only ever moves forward; the memo key is `(f, vars)`
     /// because levels before the cursor are guaranteed to be above `f`'s
@@ -274,36 +235,6 @@ mod tests {
         let set = m.varset(&[vs[3]]); // variable absent from f ∧ g
         let r = m.and_exists(f, f, set);
         assert_eq!(r, f);
-    }
-
-    #[test]
-    fn and_exists_many_matches_single_shot_quantification() {
-        let (mut m, vs) = setup();
-        let a = m.var(vs[0]);
-        let b = m.var(vs[1]);
-        let c = m.var(vs[2]);
-        let d = m.var(vs[3]);
-        // f mentions {a,b}, g mentions {b,c}, h mentions {c,d}: a can go
-        // after f, b after g, c and d after h.
-        let f = m.xor(a, b);
-        let g = m.or(b, c);
-        let h = m.iff(c, d);
-        let sa = m.varset(&[vs[0]]);
-        let sb = m.varset(&[vs[1]]);
-        let scd = m.varset(&[vs[2], vs[3]]);
-        let clustered = m.and_exists_many(&[f, g, h], &[sa, sb, scd]);
-        let single = {
-            let fg = m.and(f, g);
-            let fgh = m.and(fg, h);
-            let all = m.varset(&vs);
-            m.exists(fgh, all)
-        };
-        assert_eq!(clustered, single);
-        // Empty product is true; a lone operand is plain quantification.
-        assert!(m.and_exists_many(&[], &[]).is_true());
-        let lone = m.and_exists_many(&[f], &[sa]);
-        let plain = m.exists(f, sa);
-        assert_eq!(lone, plain);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 pub mod harness;
 
 use std::fmt::Write as _;
-use stsyn_cases::{coloring, matching, mis, token_ring, two_ring};
+use stsyn_cases::{coloring, matching, token_ring, two_ring};
 use stsyn_core::analysis::{local_correctability, LocalCorrectability};
-use stsyn_core::{AddConvergence, Engine, JobSpec, Options};
+use stsyn_core::{AddConvergence, Options};
 
 /// One synthesis run's measurements — a point on every series of one
 /// figure pair.
@@ -204,116 +204,6 @@ pub fn schedule_rows_to_csv(rows: &[ScheduleRow]) -> String {
     out
 }
 
-/// One engine's measurements on one case-study instance — a row of
-/// `results/partitioning.csv`.
-#[derive(Debug, Clone)]
-pub struct EngineRow {
-    /// Case-study name.
-    pub case: &'static str,
-    /// Image/preimage engine that produced this row.
-    pub engine: Engine,
-    /// Number of processes.
-    pub processes: usize,
-    /// Seconds in `ComputeRanks`.
-    pub ranking_secs: f64,
-    /// Seconds in SCC detection.
-    pub scc_secs: f64,
-    /// Total synthesis seconds. The model check behind `verified` runs
-    /// afterwards and is not included.
-    pub total_secs: f64,
-    /// Peak live BDD nodes over the whole run — the quantity the
-    /// partitioned engines exist to reduce.
-    pub peak_nodes: usize,
-    /// Apply-cache hit rate at the end of the run.
-    pub cache_hit_rate: f64,
-    /// Synthesized program size in BDD nodes.
-    pub program_nodes: usize,
-    /// Recovery groups added.
-    pub groups_added: usize,
-    /// Independent model-check verdict.
-    pub verified: bool,
-    /// The synthesized protocol text — for cross-engine byte-identity
-    /// checks, not a CSV column.
-    pub dsl: String,
-}
-
-/// Run one case-study instance under one engine and measure it.
-pub fn partitioning_run(
-    case: &'static str,
-    p: stsyn_protocol::Protocol,
-    i: stsyn_protocol::Expr,
-    engine: Engine,
-) -> EngineRow {
-    let processes = p.num_processes();
-    let mut job = JobSpec::new(case.to_string(), p, i);
-    job.engine = engine;
-    let mut report = job.run().expect("synthesis succeeds");
-    let cache_hit_rate = report.outcome.ctx().mgr_ref().stats().cache_hit_rate();
-    let s = &report.outcome.stats;
-    EngineRow {
-        case,
-        engine,
-        processes,
-        ranking_secs: s.ranking_secs(),
-        scc_secs: s.scc_secs(),
-        total_secs: s.total_secs(),
-        peak_nodes: s.peak_live_nodes,
-        cache_hit_rate,
-        program_nodes: s.program_nodes,
-        groups_added: s.groups_added,
-        verified: report.verified,
-        dsl: report.emitted_dsl,
-    }
-}
-
-/// The instances the partitioning bench sweeps: every case study, at
-/// 2–3× the size the repo's other sweeps default to (`--fast` shrinks
-/// them to CI-friendly seconds).
-pub fn partitioning_cases(
-    fast: bool,
-) -> Vec<(&'static str, stsyn_protocol::Protocol, stsyn_protocol::Expr)> {
-    let mut out: Vec<(&'static str, stsyn_protocol::Protocol, stsyn_protocol::Expr)> = Vec::new();
-    let (p, i) = if fast { coloring(10) } else { coloring(40) };
-    out.push(("coloring", p, i));
-    let (p, i) = if fast { matching(5) } else { matching(9) };
-    out.push(("matching", p, i));
-    // |D| must stay ≥ the ring size: a Dijkstra-style ring with fewer
-    // values than processes has an unremovable cycle outside I, so
-    // e.g. token_ring(6, 4) fails synthesis outright.
-    let (p, i) = if fast { token_ring(5, 4) } else { token_ring(6, 8) };
-    out.push(("token_ring", p, i));
-    let (p, i) = if fast { two_ring(3, 4) } else { two_ring(4, 4) };
-    out.push(("two_ring", p, i));
-    let (p, i) = if fast { mis(8) } else { mis(20) };
-    out.push(("mis", p, i));
-    out
-}
-
-/// Render engine rows as CSV (`results/partitioning.csv`).
-pub fn engine_rows_to_csv(rows: &[EngineRow]) -> String {
-    let mut out = String::from(
-        "case,engine,processes,ranking_secs,scc_secs,total_secs,peak_nodes,cache_hit_rate,program_nodes,groups_added,verified\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.6},{:.6},{:.6},{},{:.4},{},{},{}",
-            r.case,
-            r.engine,
-            r.processes,
-            r.ranking_secs,
-            r.scc_secs,
-            r.total_secs,
-            r.peak_nodes,
-            r.cache_hit_rate,
-            r.program_nodes,
-            r.groups_added,
-            r.verified
-        );
-    }
-    out
-}
-
 /// One row of the paper's case-study table (Fig. 5).
 #[derive(Debug, Clone)]
 pub struct CorrectabilityRow {
@@ -427,31 +317,9 @@ pub fn format_space_figure(title: &str, rows: &[Row]) -> String {
     out
 }
 
-/// Nearest-rank percentile of an ascending-sorted, non-empty sample: the
-/// smallest observed value with at least `p` percent of the sample at or
-/// below it. With fewer than 100 samples, p99 is the maximum.
-pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
-    assert!(!sorted.is_empty(), "percentile of an empty sample");
-    // `p · n` first: exact for whole-number `p`, so `ceil` cannot overshoot.
-    let rank = (p * sorted.len() as f64 / 100.0).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nearest_rank_percentiles() {
-        let twelve: Vec<f64> = (1..=12).map(f64::from).collect();
-        assert_eq!(percentile(&twelve, 50.0), 6.0);
-        assert_eq!(percentile(&twelve, 95.0), 12.0);
-        assert_eq!(percentile(&twelve, 99.0), 12.0, "p99 of 12 samples is the maximum");
-        let hundred: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&hundred, 99.0), 99);
-        assert_eq!(percentile(&hundred, 100.0), 100);
-        assert_eq!(percentile(&[7u64], 50.0), 7);
-    }
 
     #[test]
     fn small_sweeps_produce_verified_rows() {
@@ -511,21 +379,5 @@ mod tests {
         let row = two_ring_run(2, 3);
         assert!(row.verified);
         assert_eq!(row.processes, 4);
-    }
-
-    #[test]
-    fn partitioning_rows_verify_and_agree_across_engines() {
-        let (p, i) = stsyn_cases::token_ring(3, 2);
-        let rows: Vec<EngineRow> = [Engine::Monolithic, Engine::Partitioned, Engine::Saturation]
-            .into_iter()
-            .map(|e| partitioning_run("token_ring", p.clone(), i.clone(), e))
-            .collect();
-        assert!(rows.iter().all(|r| r.verified));
-        assert_eq!(rows[0].dsl, rows[1].dsl, "partitioned text differs");
-        assert_eq!(rows[0].dsl, rows[2].dsl, "saturation text differs");
-        let csv = engine_rows_to_csv(&rows);
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv.starts_with("case,engine,"));
-        assert!(csv.contains(",partitioned,") && csv.contains(",saturation,"));
     }
 }

@@ -2,6 +2,8 @@
 //! synthesized protocol, the recovery description and the deterministic
 //! statistics must be identical to an unbudgeted run on every case study.
 //! (Only timings, tick counters and GC-sensitive peaks may differ.)
+//! The same case studies also check that `pss` is exactly the union of
+//! its group relations.
 
 use stsyn_bdd::Budget;
 use stsyn_cases::{coloring, matching, mis, token_ring, two_ring};
@@ -105,4 +107,30 @@ fn weak_synthesis_is_budget_free() {
     assert_eq!(plain.added, budgeted.added);
     assert_eq!(plain.stats.max_rank, budgeted.stats.max_rank);
     assert_eq!(plain.stats.program_nodes, budgeted.stats.program_nodes);
+}
+
+/// Every group enters `pss` through the heuristic's batched commit, so
+/// `pss` must be the same BDD as the union of `pss_descs()`'s relations.
+#[test]
+fn pss_is_the_union_of_its_group_relations() {
+    let cases = [
+        ("token_ring(3,2)", token_ring(3, 2)),
+        ("matching(3)", matching(3)),
+        ("coloring(3)", coloring(3)),
+        ("two_ring(2,2)", two_ring(2, 2)),
+        ("mis(3)", mis(3)),
+    ];
+    for (name, (p, i)) in cases {
+        let problem = AddConvergence::new(p, i).unwrap();
+        let mut out =
+            problem.synthesize(&Options::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let descs = out.pss_descs();
+        let ctx = out.ctx();
+        let mut union = ctx.mgr().zero();
+        for d in &descs {
+            let rel = ctx.group_relation(d);
+            union = ctx.mgr().or(union, rel);
+        }
+        assert_eq!(union, out.pss, "{name}: pss differs from the union of its groups");
+    }
 }

@@ -19,10 +19,9 @@
 //!
 //! ```text
 //! stsyn FILE [--weak] [--schedule 1,2,3,0] [--parallel] [--symmetric]
-//!            [--engine monolithic|partitioned|saturation]
 //!            [--timeout SECS] [--max-nodes N]
 //!            [--checkpoint-dir DIR] [--resume]
-//!            [--emit-dsl OUT.stsyn] [--scc skeleton|lockstep|xiebeerel] [--quiet]
+//!            [--emit-dsl OUT.stsyn] [--quiet]
 //! stsyn serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!             [--state-dir DIR] [--print-addr]
 //!             [--max-conns N] [--io-timeout SECS] [--quarantine-after K]
@@ -33,7 +32,7 @@
 //!             [--down-after K] [--io-timeout SECS]
 //! stsyn client --addr HOST:PORT [--retries N] [--retry-base-ms MS]
 //!              submit (FILE | --case NAME --n N [--d D])
-//!              [--weak] [--schedule 1,2,3,0] [--engine ENGINE] [--priority P]
+//!              [--weak] [--schedule 1,2,3,0] [--priority P]
 //!              [--timeout SECS] [--max-nodes N] [--max-ticks N]
 //!              [--wait [--wait-secs S]] [--emit-dsl OUT.stsyn] [--quiet]
 //! stsyn client --addr HOST:PORT status ID
@@ -65,9 +64,7 @@
 //! uninterrupted run. Checkpointing applies to strong single-schedule
 //! synthesis only (`--weak` and `--parallel` are rejected alongside it).
 //! The daemon applies the same machinery per job, which is what lets a
-//! `SIGKILL`ed daemon resume its in-flight jobs on restart. A journal
-//! records which `--engine` wrote it; resuming under a different engine
-//! is a checkpoint mismatch (exit 5), never a silently different walk.
+//! `SIGKILL`ed daemon resume its in-flight jobs on restart.
 //!
 //! The daemon hardens itself against hostile or unlucky clients and
 //! jobs: `--max-conns` caps concurrent connections (excess ones get a
@@ -111,8 +108,7 @@ use stsyn_serve::{
     Client, ClientError, Json, RetryPolicy, Router, RouterConfig, Server, ServerConfig,
     ShutdownMode, SubmitSpec,
 };
-use stsyn_symbolic::scc::SccAlgorithm;
-use stsyn_symbolic::{Budget, Engine};
+use stsyn_symbolic::Budget;
 
 const EXIT_SYNTH: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -145,10 +141,9 @@ impl CliError {
 
 fn usage_text() -> &'static str {
     "usage: stsyn FILE [--weak] [--schedule 1,2,3,0] [--parallel] [--symmetric] \
-     [--engine monolithic|partitioned|saturation] \
      [--timeout SECS] [--max-nodes N] \
      [--checkpoint-dir DIR] [--resume] \
-     [--emit-dsl OUT.stsyn] [--scc skeleton|lockstep|xiebeerel] [--quiet]\n\
+     [--emit-dsl OUT.stsyn] [--quiet]\n\
      \x20      stsyn serve [--addr HOST:PORT] [--workers N] [--queue N] \
      [--state-dir DIR] [--print-addr] \
      [--max-conns N] [--io-timeout SECS] [--quarantine-after K] \
@@ -158,7 +153,7 @@ fn usage_text() -> &'static str {
      [--down-after K] [--io-timeout SECS]\n\
      \x20      stsyn client --addr HOST:PORT [--retries N] [--retry-base-ms MS] \
      submit (FILE | --case NAME --n N [--d D]) \
-     [--weak] [--engine ENGINE] [--priority P] [--wait] [--emit-dsl OUT.stsyn]\n\
+     [--weak] [--priority P] [--wait] [--emit-dsl OUT.stsyn]\n\
      \x20      stsyn client --addr HOST:PORT status ID | watch ID | result ID | cancel ID | \
      ping | stats | metrics | fleet-stats | fleet-metrics | shutdown [--mode drain|checkpoint]\n\
      \x20      stsyn store stats --addr HOST:PORT | gc --addr HOST:PORT [--cap-bytes N] | \
@@ -227,8 +222,6 @@ struct Args {
     symmetric: bool,
     emit_dsl: Option<String>,
     schedule: Option<Vec<usize>>,
-    engine: Engine,
-    scc: SccAlgorithm,
     timeout: Option<f64>,
     max_nodes: Option<usize>,
     checkpoint_dir: Option<String>,
@@ -247,8 +240,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         symmetric: false,
         emit_dsl: None,
         schedule: None,
-        engine: Engine::Monolithic,
-        scc: SccAlgorithm::Skeleton,
         timeout: None,
         max_nodes: None,
         checkpoint_dir: None,
@@ -267,19 +258,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             "--emit-dsl" => args.emit_dsl = Some(flag_value(&mut it, "--emit-dsl")?),
             "--schedule" => {
                 args.schedule = Some(parse_schedule(&flag_value(&mut it, "--schedule")?)?);
-            }
-            "--engine" => {
-                args.engine = parse_engine(&flag_value(&mut it, "--engine")?)?;
-            }
-            "--scc" => {
-                args.scc = match flag_value(&mut it, "--scc")?.as_str() {
-                    "skeleton" => SccAlgorithm::Skeleton,
-                    "lockstep" => SccAlgorithm::Lockstep,
-                    "xiebeerel" => SccAlgorithm::XieBeerel,
-                    other => {
-                        return Err(CliError::usage(format!("unknown --scc algorithm `{other}`")))
-                    }
-                }
             }
             "--timeout" => {
                 let v = flag_value(&mut it, "--timeout")?;
@@ -334,12 +312,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     Ok(args)
 }
 
-fn parse_engine(v: &str) -> Result<Engine, CliError> {
-    Engine::parse(v).ok_or_else(|| {
-        CliError::usage(format!("--engine `{v}` is not monolithic|partitioned|saturation"))
-    })
-}
-
 fn parse_trace_level(v: &str) -> Result<TraceLevel, CliError> {
     TraceLevel::parse(v)
         .ok_or_else(|| CliError::usage(format!("--trace-level `{v}` is not warn|info|debug")))
@@ -376,8 +348,6 @@ fn oneshot_main(argv: &[String]) -> Result<ExitCode, CliError> {
         JobMode::Strong
     };
     job.schedule = args.schedule.clone();
-    job.engine = args.engine;
-    job.scc = args.scc;
     job.symmetric = args.symmetric;
     job.budget = build_budget(args.timeout, args.max_nodes);
     if let Some(dir) = &args.checkpoint_dir {
@@ -1030,9 +1000,6 @@ fn client_submit(client: &mut Client, args: &[String]) -> Result<ExitCode, CliEr
             "--weak" => spec.weak = true,
             "--schedule" => {
                 spec.schedule = Some(parse_schedule(&flag_value(&mut it, "--schedule")?)?);
-            }
-            "--engine" => {
-                spec.engine = parse_engine(&flag_value(&mut it, "--engine")?)?;
             }
             "--priority" => {
                 spec.priority = flag_value(&mut it, "--priority")?

@@ -550,8 +550,7 @@ impl Client {
             };
             if v.get("frame").is_none() {
                 // A plain response instead of a stream: the setup was
-                // refused (unknown job, or a daemon that predates
-                // `watch` answering `bad-request`). The connection stays
+                // refused (e.g. an unknown job). The connection stays
                 // usable for ordinary requests.
                 if v.get("ok").and_then(Json::as_bool) == Some(false) {
                     if deadline.is_some() {
@@ -584,15 +583,14 @@ impl Client {
         }
     }
 
-    /// Poll until the job reaches a terminal state, then fetch its
+    /// Wait until the job reaches a terminal state, then fetch its
     /// result. Cancelled jobs surface as `Rejected { code: "cancelled" }`.
     ///
-    /// When the service supports the `watch` verb, this rides the live
-    /// progress stream (one long-lived read instead of a polling train)
-    /// and wakes the moment the terminal frame lands. Against an older
-    /// daemon or router (which answers `watch` with `bad-request`), or if
-    /// the stream keeps dying, it falls back to polling with exponential
-    /// backoff from 5 ms to a 400 ms cap (with jitter).
+    /// Rides the live progress stream (`watch`): one long-lived read that
+    /// wakes the moment the terminal frame lands. A stream that drops is
+    /// re-attached from its cursor with the policy's backoff; once the
+    /// retries run out, the last stream error is returned. A refused
+    /// watch (e.g. `unknown-job`) is returned at once.
     pub fn wait(&mut self, id: u64, timeout: Duration) -> Result<Json, ClientError> {
         let deadline = Instant::now() + timeout;
         let mut cursor: Option<u64> = None;
@@ -600,7 +598,6 @@ impl Client {
         loop {
             match self.watch_once(id, &mut cursor, Some(deadline), &mut |_| {}) {
                 Ok(_status) => return self.result(id),
-                Err(ClientError::Rejected { code, .. }) if code == "bad-request" => break,
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
                     attempt += 1;
                     self.retries += 1;
@@ -610,34 +607,11 @@ impl Client {
                             .min(deadline.saturating_duration_since(Instant::now())),
                     );
                 }
-                Err(ClientError::Timeout) => return Err(ClientError::Timeout),
-                // Terminal rejections (unknown-job, ...) and exhausted
-                // retries: let the polling path render the final answer —
-                // it reproduces the pre-watch behavior exactly.
-                Err(_) => break,
+                Err(e) => return Err(e),
             }
             if Instant::now() >= deadline {
                 return Err(ClientError::Timeout);
             }
-        }
-        self.wait_by_polling(id, deadline)
-    }
-
-    fn wait_by_polling(&mut self, id: u64, deadline: Instant) -> Result<Json, ClientError> {
-        let mut delay = Duration::from_millis(5);
-        let cap = Duration::from_millis(400);
-        loop {
-            match self.state(id)?.as_str() {
-                "queued" | "running" => {}
-                _ => return self.result(id),
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-            let nanos = delay.as_nanos() as u64;
-            let jittered = Duration::from_nanos(nanos / 2 + self.rng.below(nanos / 2 + 1));
-            std::thread::sleep(jittered.min(deadline.saturating_duration_since(Instant::now())));
-            delay = (delay * 2).min(cap);
         }
     }
 }

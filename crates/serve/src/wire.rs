@@ -13,7 +13,7 @@
 use crate::json::Json;
 use std::io::{self, BufRead, Read};
 use stsyn_core::job::{JobMode, JobSpec};
-use stsyn_symbolic::{Budget, Engine};
+use stsyn_symbolic::Budget;
 
 /// Hard cap on one request line (framing bound, checked before parsing).
 pub const MAX_REQUEST_BYTES: usize = 4 << 20;
@@ -103,11 +103,6 @@ pub struct SubmitSpec {
     pub weak: bool,
     /// Explicit recovery schedule (process indices).
     pub schedule: Option<Vec<usize>>,
-    /// Image/preimage engine for the symbolic walk. Part of the
-    /// synthesis identity (it changes which checkpoints are
-    /// compatible), but only emitted on the wire when non-default so
-    /// pre-existing spec files and warm fingerprints stay valid.
-    pub engine: Engine,
     /// Queue priority; higher pops first, default 0.
     pub priority: i64,
     /// Wall-clock budget in seconds.
@@ -132,7 +127,6 @@ impl SubmitSpec {
             source,
             weak: false,
             schedule: None,
-            engine: Engine::Monolithic,
             priority: 0,
             timeout_secs: None,
             max_nodes: None,
@@ -211,9 +205,6 @@ impl SubmitSpec {
         if let Some(s) = &self.schedule {
             pairs.push(("schedule", Json::Arr(s.iter().map(|&i| Json::from(i)).collect())));
         }
-        if self.engine != Engine::Monolithic {
-            pairs.push(("engine", self.engine.as_str().into()));
-        }
         pairs
     }
 
@@ -268,10 +259,14 @@ impl SubmitSpec {
             }
             spec.schedule = Some(order);
         }
+        // Specs written when the image/preimage engine was selectable may
+        // still name one. Every engine gave the same protocol, so a known
+        // name is accepted and ignored.
         if let Some(e) = v.get("engine") {
             let name = e.as_str().ok_or("`engine` must be a string")?;
-            spec.engine = Engine::parse(name)
-                .ok_or("`engine` must be monolithic, partitioned or saturation")?;
+            if !matches!(name, "monolithic" | "partitioned" | "saturation") {
+                return Err("`engine` must be monolithic, partitioned or saturation".to_string());
+            }
         }
         if let Some(p) = v.get("priority") {
             spec.priority = p.as_i64().ok_or("`priority` must be an integer")?;
@@ -351,7 +346,6 @@ impl SubmitSpec {
         let mut job = JobSpec::new(name, protocol, invariant);
         job.mode = if self.weak { JobMode::Weak } else { JobMode::Strong };
         job.schedule = self.schedule.clone();
-        job.engine = self.engine;
         job.budget = self.budget();
         job.validate().map_err(|e| e.to_string())?;
         Ok(job)
@@ -367,7 +361,6 @@ mod tests {
         let mut spec = SubmitSpec::new(JobSource::Case { name: "token_ring".into(), n: 4, d: 3 });
         spec.weak = true;
         spec.schedule = Some(vec![1, 2, 3, 0]);
-        spec.engine = Engine::Partitioned;
         spec.priority = -2;
         spec.timeout_secs = Some(1.5);
         spec.max_nodes = Some(100_000);
@@ -457,29 +450,42 @@ mod tests {
         let mut sched = base.clone();
         sched.schedule = Some(vec![2, 1, 0]);
         assert_ne!(sched.warm_fingerprint(), weak.warm_fingerprint());
-        // The engine changes which rank layers a checkpoint encodes, so
-        // it is part of the warm identity — but the default engine is
-        // not emitted, keeping pre-engine fingerprints stable.
-        let mut part = base.clone();
-        part.engine = Engine::Partitioned;
-        assert_ne!(base.warm_fingerprint(), part.warm_fingerprint());
-        assert_eq!(base.to_json().get("engine"), None);
     }
 
     #[test]
-    fn engine_field_parses_and_rejects_unknown_names() {
-        let good = Json::obj(vec![
-            ("case", "coloring".into()),
-            ("n", 3u64.into()),
-            ("engine", "saturation".into()),
-        ]);
-        assert_eq!(SubmitSpec::from_json(&good).unwrap().engine, Engine::Saturation);
-        let bad = Json::obj(vec![
-            ("case", "coloring".into()),
-            ("n", 3u64.into()),
-            ("engine", "quantum".into()),
-        ]);
-        assert!(SubmitSpec::from_json(&bad).unwrap_err().contains("engine"));
+    fn legacy_engine_field_is_ignored_and_unknown_names_rejected() {
+        let with_engine = |name: &str| {
+            Json::obj(vec![
+                ("case", "coloring".into()),
+                ("n", 3u64.into()),
+                ("engine", name.into()),
+            ])
+        };
+        for name in ["monolithic", "partitioned", "saturation"] {
+            let spec = SubmitSpec::from_json(&with_engine(name)).unwrap();
+            assert_eq!(spec, case_spec(), "{name}");
+            assert_eq!(spec.to_json().get("engine"), None, "{name}");
+        }
+        let err = SubmitSpec::from_json(&with_engine("quantum")).unwrap_err();
+        assert_eq!(err, "`engine` must be monolithic, partitioned or saturation");
+    }
+
+    #[test]
+    fn default_spec_keys_are_pinned() {
+        // Store keys and journal identities live on disk across releases:
+        // a default coloring(3) job must keep the keys it always had.
+        let spec = case_spec();
+        assert_eq!(spec.fingerprint(), 0x5499_6328_aa4f);
+        assert_eq!(spec.warm_fingerprint(), 0x5499_6328_aa4f);
+        let job = spec.materialize().unwrap();
+        let schedule = job.resolved_schedule(&job.problem().unwrap());
+        let journal = stsyn_core::checkpoint::fingerprint(
+            &job.protocol,
+            &job.invariant,
+            &stsyn_core::Options::default(),
+            &schedule,
+        );
+        assert_eq!(journal, 0x5592_2469_9a89_c1c6);
     }
 
     #[test]

@@ -156,6 +156,14 @@ fn watch_streams_every_rank_layer_then_terminal_status() {
     // and the Prometheus `metrics` exposition.
     let done = client.wait(id, WAIT).unwrap();
     assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+
+    // Waiting on an id the daemon never issued is a typed rejection,
+    // answered at once rather than after the wait's timeout.
+    let asked = Instant::now();
+    let err = client.wait(999_999, WAIT).unwrap_err();
+    assert_eq!(err.code(), Some("unknown-job"), "{err:?}");
+    assert!(asked.elapsed() < Duration::from_secs(5), "took {:?}", asked.elapsed());
+
     let stats = client.stats().unwrap();
     let latency = stats.get("latency").expect("stats lacks the latency histograms");
     for key in ["queue_wait", "run", "submit_to_result"] {

@@ -808,16 +808,11 @@ pub fn fingerprint(
     let mut h = std::collections::hash_map::DefaultHasher::new();
     format!("{protocol:?}").hash(&mut h);
     format!("{invariant:?}").hash(&mut h);
-    format!("{:?}", opts.scc).hash(&mut h);
+    // The SCC algorithm was once an option; its one remaining value stays
+    // in the hash so existing journals still resume.
+    "Skeleton".hash(&mut h);
     opts.symmetry.is_some().hash(&mut h);
     schedule.order().hash(&mut h);
-    // Only hashed when non-default so journals written before the engine
-    // option existed stay resumable. All engines layer ranks identically,
-    // but a resume must re-run under the journal's engine for its
-    // perf/trace characteristics to match what the operator asked for.
-    if opts.engine != stsyn_symbolic::Engine::Monolithic {
-        opts.engine.as_str().hash(&mut h);
-    }
     h.finish()
 }
 

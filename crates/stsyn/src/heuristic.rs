@@ -29,15 +29,11 @@ use stsyn_protocol::expr::Expr;
 use stsyn_protocol::group::{groups_of_protocol, GroupDesc};
 use stsyn_protocol::Protocol;
 use stsyn_symbolic::check::{
-    closure_holds, strong_convergence, try_closure_holds, try_closure_holds_parts,
-    try_strong_convergence, try_strong_convergence_parts, try_weak_convergence,
-    try_weak_convergence_parts, weak_convergence,
+    closure_holds, strong_convergence, try_closure_holds, try_strong_convergence,
+    try_weak_convergence, weak_convergence,
 };
-use stsyn_symbolic::ranks::{
-    try_compute_ranks_parts_resumed, try_compute_ranks_resumed, RankTable,
-};
-use stsyn_symbolic::scc::{try_has_cycle, try_scc_decomposition};
-use stsyn_symbolic::Engine as ImgEngine;
+use stsyn_symbolic::ranks::{try_compute_ranks_resumed, RankTable};
+use stsyn_symbolic::scc::{try_has_cycle, try_scc_decomposition, SccAlgorithm};
 use stsyn_symbolic::SymbolicContext;
 
 /// What can stop a recovery step: the BDD budget, or — in checkpointed
@@ -96,8 +92,6 @@ pub struct Outcome {
     pub stats: SynthesisStats,
     /// The recovery schedule that produced this outcome.
     pub schedule: Schedule,
-    /// The image/preimage engine the run used (verification re-uses it).
-    pub engine: ImgEngine,
 }
 
 impl Outcome {
@@ -113,8 +107,7 @@ impl Outcome {
 
     /// The group descriptors whose relations OR into `pss`: the input
     /// protocol's groups minus the preprocessed removals, plus the added
-    /// recovery — the partitioned engines rebuild `p_ss` from these, so the
-    /// OR of their relations is exactly [`Outcome::pss`].
+    /// recovery. The OR of their relations is exactly [`Outcome::pss`].
     pub fn pss_descs(&self) -> Vec<GroupDesc> {
         let mut descs: Vec<GroupDesc> = groups_of_protocol(self.ctx.protocol())
             .into_iter()
@@ -127,33 +120,19 @@ impl Outcome {
     /// Independently verify that `p_ss` is strongly stabilizing to `I`
     /// (closure + Proposition II.1).
     pub fn verify_strong(&mut self) -> bool {
-        if self.engine.is_partitioned() {
-            return self.try_verify_strong().expect(crate::problem::INFALLIBLE);
-        }
         closure_holds(&mut self.ctx, self.pss, self.i)
             && strong_convergence(&mut self.ctx, self.pss, self.i).holds
     }
 
     /// Fallible variant of [`Outcome::verify_strong`] for budgeted runs.
-    /// Under a partitioned engine the check runs through the clustered
-    /// image/preimage (same verdict — the operators are exact).
     #[must_use = "failures are reported through the Result"]
     pub fn try_verify_strong(&mut self) -> Result<bool, BddError> {
-        if self.engine.is_partitioned() {
-            let descs = self.pss_descs();
-            let parts = self.ctx.try_partitioned_relation(&descs)?;
-            return Ok(try_closure_holds_parts(&mut self.ctx, &parts, self.i)?
-                && try_strong_convergence_parts(&mut self.ctx, &parts, self.i)?.holds);
-        }
         Ok(try_closure_holds(&mut self.ctx, self.pss, self.i)?
             && try_strong_convergence(&mut self.ctx, self.pss, self.i)?.holds)
     }
 
     /// Independently verify weak stabilization.
     pub fn verify_weak(&mut self) -> bool {
-        if self.engine.is_partitioned() {
-            return self.try_verify_weak().expect(crate::problem::INFALLIBLE);
-        }
         closure_holds(&mut self.ctx, self.pss, self.i)
             && weak_convergence(&mut self.ctx, self.pss, self.i).holds
     }
@@ -161,13 +140,6 @@ impl Outcome {
     /// Fallible variant of [`Outcome::verify_weak`] for budgeted runs.
     #[must_use = "failures are reported through the Result"]
     pub fn try_verify_weak(&mut self) -> Result<bool, BddError> {
-        if self.engine.is_partitioned() {
-            let descs = self.pss_descs();
-            let parts = self.ctx.try_partitioned_relation(&descs)?;
-            let engine = self.engine;
-            return Ok(try_closure_holds_parts(&mut self.ctx, &parts, self.i)?
-                && try_weak_convergence_parts(&mut self.ctx, engine, &parts, self.i)?.holds);
-        }
         Ok(try_closure_holds(&mut self.ctx, self.pss, self.i)?
             && try_weak_convergence(&mut self.ctx, self.pss, self.i)?.holds)
     }
@@ -438,7 +410,8 @@ impl Engine {
         let added_restricted = self.ctx.try_restrict_relation(union_added, self.not_i)?;
         let restricted = self.ctx.mgr().try_or(self.pss_restricted, added_restricted)?;
         let scc_start = Instant::now();
-        let sccs = try_scc_decomposition(&mut self.ctx, restricted, self.not_i, self.opts.scc)?;
+        let sccs =
+            try_scc_decomposition(&mut self.ctx, restricted, self.not_i, SccAlgorithm::Skeleton)?;
         self.stats.scc_time += scc_start.elapsed();
         self.stats.scc_calls += 1;
         self.stats.sccs_found += sccs.len();
@@ -623,7 +596,8 @@ pub(crate) fn synthesize_checkpointed(
     let mut removed_from_p: Vec<GroupDesc> = Vec::new();
     let restricted_p = setup!(ctx.try_restrict_relation(delta_p, not_i));
     if setup!(try_has_cycle(&mut ctx, restricted_p, not_i)) {
-        let sccs = setup!(try_scc_decomposition(&mut ctx, restricted_p, not_i, opts.scc));
+        let sccs =
+            setup!(try_scc_decomposition(&mut ctx, restricted_p, not_i, SccAlgorithm::Skeleton));
         let p_groups = groups_of_protocol(protocol);
         let mut keep = Bdd::FALSE;
         for g in &p_groups {
@@ -744,64 +718,6 @@ pub(crate) fn synthesize_checkpointed(
         }
         let infinite = phased!(Phase::Ranking, engine.ctx.try_not_states(explored));
         RankTable { ranks: ranks_v, explored, infinite }
-    } else if opts.engine.is_partitioned() {
-        // Partitioned ranking: never materialize the monolithic `p_im`.
-        // Its transition set is the kept δ_p groups plus every candidate
-        // group, so the per-process clusters are built straight from
-        // those descriptors (frameless, with early-quantification
-        // schedules); ranking then steps through the clustered preimage.
-        // The layers are identical to the monolithic run's.
-        let mut pim_descs: Vec<GroupDesc> = groups_of_protocol(protocol)
-            .into_iter()
-            .filter(|g| !removed_from_p.contains(g))
-            .collect();
-        pim_descs.extend(engine.cands.all.iter().map(|c| c.desc.clone()));
-        let pim_parts = phased!(Phase::Setup, engine.ctx.try_partitioned_relation(&pim_descs));
-        if opts.budget.is_some() {
-            let mut roots = engine.cands.roots();
-            roots.extend([
-                engine.i,
-                engine.not_i,
-                engine.delta_p,
-                engine.pss,
-                engine.pss_restricted,
-                engine.enabled_union,
-            ]);
-            roots.extend(pim_parts.roots());
-            roots.extend(rank_prefix.iter().copied());
-            engine.ctx.register_roots(&roots);
-        }
-        let ranks_result = {
-            let mut persist;
-            let observer: Option<stsyn_symbolic::ranks::RankLayerObserver<'_>> =
-                match ckpt.as_deref_mut() {
-                    Some(c) => {
-                        persist = |mgr: &stsyn_bdd::Manager, idx: usize, layer: Bdd| {
-                            c.observe_rank_layer(mgr, idx, layer)
-                        };
-                        Some(&mut persist)
-                    }
-                    None => None,
-                };
-            try_compute_ranks_parts_resumed(&mut engine.ctx, &pim_parts, i, &rank_prefix, observer)
-        };
-        if let Some(c) = ckpt.as_deref_mut() {
-            if let Some(e) = c.take_error() {
-                return Err(SynthesisError::Checkpoint(e));
-            }
-        }
-        match ranks_result {
-            Ok(t) => t,
-            Err(interrupted) => {
-                return Err(resource_err(
-                    &engine.ctx,
-                    Phase::Ranking,
-                    interrupted.cause,
-                    interrupted.ranks_so_far.len(),
-                    &[],
-                ))
-            }
-        }
     } else {
         let pim = phased!(Phase::Setup, engine.cands.try_pim(&mut engine.ctx, engine.delta_p));
         // `ComputeRanks` hits node-ceiling safe points; every long-lived
@@ -956,7 +872,6 @@ pub(crate) fn synthesize_checkpointed(
         removed_from_p,
         stats: engine.stats,
         schedule,
-        engine: opts.engine,
     };
     outcome.stats.bdd_ticks = outcome.ctx.mgr_ref().ticks_used();
     outcome.stats.total_time = start.elapsed();

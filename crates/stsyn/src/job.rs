@@ -29,7 +29,6 @@ use std::fmt;
 use std::path::PathBuf;
 use stsyn_protocol::expr::Expr;
 use stsyn_protocol::{dsl, printer, ProcIdx, Protocol};
-use stsyn_symbolic::scc::SccAlgorithm;
 use stsyn_symbolic::Budget;
 
 /// How convergence is added.
@@ -78,12 +77,6 @@ pub struct JobSpec {
     /// Explicit recovery schedule (process indices); `None` uses the
     /// paper's default rotation. Ignored by [`JobMode::Parallel`].
     pub schedule: Option<Vec<usize>>,
-    /// Symbolic SCC algorithm for cycle resolution.
-    pub scc: SccAlgorithm,
-    /// Image/preimage engine: monolithic (default), partitioned, or
-    /// saturation. All engines emit byte-identical protocols; see
-    /// [`stsyn_symbolic::Engine`].
-    pub engine: stsyn_symbolic::Engine,
     /// Add recovery orbit-atomically under ring-rotation symmetry.
     pub symmetric: bool,
     /// Resource budget (node / tick / deadline / cancellation limits).
@@ -153,8 +146,6 @@ impl JobSpec {
             invariant,
             mode: JobMode::Strong,
             schedule: None,
-            scc: SccAlgorithm::Skeleton,
-            engine: stsyn_symbolic::Engine::Monolithic,
             symmetric: false,
             budget: None,
             checkpoint: None,
@@ -218,13 +209,7 @@ impl JobSpec {
         } else {
             None
         };
-        let opts = Options {
-            scc: self.scc,
-            engine: self.engine,
-            symmetry,
-            budget: self.budget.clone(),
-            tracer: self.tracer.clone(),
-        };
+        let opts = Options { symmetry, budget: self.budget.clone(), tracer: self.tracer.clone() };
         let schedule = self.resolved_schedule(&problem);
         let job_span =
             self.tracer.span_with("job", &[("job", stsyn_obs::Json::from(self.name.as_str()))]);

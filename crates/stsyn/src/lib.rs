@@ -84,4 +84,3 @@ pub use job::{JobCheckpoint, JobError, JobMode, JobReport, JobSpec};
 pub use problem::{AddConvergence, Options, PartialProgress, Phase, SynthesisError};
 pub use schedule::Schedule;
 pub use stats::SynthesisStats;
-pub use stsyn_symbolic::Engine;

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use stsyn_protocol::expr::{Expr, Ty};
 use stsyn_protocol::group::GroupDesc;
 use stsyn_protocol::Protocol;
-use stsyn_symbolic::scc::SccAlgorithm;
 use stsyn_symbolic::{BddError, Budget};
 
 /// Panic message for infallible wrappers around `try_*` operations: when
@@ -24,18 +23,6 @@ pub(crate) const INFALLIBLE: &str = "budget exhausted inside an infallible synth
 /// Tunable knobs for a synthesis run.
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Which symbolic SCC algorithm `Identify_Resolve_Cycles` uses.
-    pub scc: SccAlgorithm,
-    /// Which image/preimage engine drives ranking and verification:
-    /// monolithic (default), partitioned (clustered relational product
-    /// with early quantification), or saturation (partitioned, plus
-    /// saturation-ordered closure firing). All engines produce
-    /// byte-identical protocols; the non-monolithic ones trade a little
-    /// bookkeeping for much smaller intermediate BDDs on larger
-    /// instances. Included in checkpoint fingerprints (only when
-    /// non-default), so a journal is resumed under the engine that wrote
-    /// it.
-    pub engine: stsyn_symbolic::Engine,
     /// When set, recovery groups are added orbit-atomically under this
     /// topology automorphism, so the synthesized protocol is symmetric by
     /// construction (§VIII "Symmetry"). `None` reproduces the paper's
@@ -58,13 +45,7 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Options {
-            scc: SccAlgorithm::Skeleton,
-            engine: stsyn_symbolic::Engine::Monolithic,
-            symmetry: None,
-            budget: None,
-            tracer: stsyn_obs::Tracer::disabled(),
-        }
+        Options { symmetry: None, budget: None, tracer: stsyn_obs::Tracer::disabled() }
     }
 }
 

@@ -13,10 +13,9 @@ use crate::schedule::Schedule;
 use crate::stats::SynthesisStats;
 use std::time::Instant;
 use stsyn_protocol::expr::Expr;
-use stsyn_protocol::group::{groups_of_protocol, GroupDesc};
 use stsyn_protocol::Protocol;
 use stsyn_symbolic::check::try_closure_holds;
-use stsyn_symbolic::ranks::{try_compute_ranks, try_compute_ranks_parts};
+use stsyn_symbolic::ranks::try_compute_ranks;
 use stsyn_symbolic::SymbolicContext;
 
 /// Produce the weakly stabilizing `p_im`, or prove none exists.
@@ -59,25 +58,7 @@ pub fn synthesize_weak(
         ctx.register_roots(&roots);
     }
     let rank_start = Instant::now();
-    // Under a partitioned engine the ranking (the entire decision
-    // procedure) steps through per-process clusters; the monolithic
-    // `pim` built above is still the outcome's `p_ss`, but never feeds
-    // an `and_exists`. The rank table is identical either way.
-    let ranks_result = if opts.engine.is_partitioned() {
-        let mut descs: Vec<GroupDesc> = groups_of_protocol(protocol);
-        descs.extend(cands.all.iter().map(|c| c.desc.clone()));
-        let pim_parts = setup!(ctx.try_partitioned_relation(&descs));
-        if opts.budget.is_some() {
-            let mut roots = cands.roots();
-            roots.extend([i, delta_p, pim]);
-            roots.extend(pim_parts.roots());
-            ctx.register_roots(&roots);
-        }
-        try_compute_ranks_parts(&mut ctx, &pim_parts, i)
-    } else {
-        try_compute_ranks(&mut ctx, pim, i)
-    };
-    let ranks = match ranks_result {
+    let ranks = match try_compute_ranks(&mut ctx, pim, i) {
         Ok(t) => t,
         Err(interrupted) => {
             return Err(resource_err(
@@ -130,7 +111,6 @@ pub fn synthesize_weak(
         removed_from_p: Vec::new(),
         stats,
         schedule: Schedule::identity(k),
-        engine: opts.engine,
         ctx,
     })
 }

@@ -6,8 +6,7 @@
 //! against the explicit-state engine.
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
-use crate::partition::{Engine, PartitionedRelation};
-use crate::scc::{try_has_cycle, try_has_cycle_parts};
+use crate::scc::try_has_cycle;
 use stsyn_bdd::{Bdd, BddError};
 
 /// Outcome of a convergence check, with symbolic witnesses.
@@ -142,128 +141,6 @@ pub fn try_self_stabilizing(
             try_strong_convergence(ctx, relation, i)?.holds
         } else {
             try_weak_convergence(ctx, relation, i)?.holds
-        })
-}
-
-/// Partitioned [`try_closure_holds`]: is `img(I) ⊆ I`? Same verdict as
-/// the monolithic check (`T ∧ I ∧ ¬I'` is empty iff the image escapes
-/// nowhere).
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_closure_holds_parts(
-    ctx: &mut SymbolicContext,
-    t: &PartitionedRelation,
-    i: Bdd,
-) -> Result<bool, BddError> {
-    let img = ctx.try_img_parts(t, i)?;
-    let not_i = ctx.mgr().try_not(i)?;
-    Ok(ctx.mgr().try_and(img, not_i)?.is_false())
-}
-
-/// Partitioned [`try_deadlock_states`] — identical witness BDD.
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_deadlock_states_parts(
-    ctx: &mut SymbolicContext,
-    t: &PartitionedRelation,
-    i: Bdd,
-) -> Result<Bdd, BddError> {
-    let enabled = ctx.try_enabled_parts(t)?;
-    let not_i = ctx.try_not_states(i)?;
-    let not_enabled = ctx.mgr().try_not(enabled)?;
-    ctx.mgr().try_and(not_i, not_enabled)
-}
-
-/// Infallible [`try_strong_convergence_parts`].
-pub fn strong_convergence_parts(
-    ctx: &mut SymbolicContext,
-    t: &PartitionedRelation,
-    i: Bdd,
-) -> Verdict {
-    try_strong_convergence_parts(ctx, t, i).expect(INFALLIBLE)
-}
-
-/// Partitioned [`try_strong_convergence`]. The cycle check and the
-/// witness trim never materialize `T | ¬I`: every iterate stays inside
-/// `¬I`, so conjoining with the *full*-relation preimage/image visits
-/// exactly the restricted transitions and each iterate — hence the
-/// witness — is the same canonical BDD as the monolithic run's.
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_strong_convergence_parts(
-    ctx: &mut SymbolicContext,
-    t: &PartitionedRelation,
-    i: Bdd,
-) -> Result<Verdict, BddError> {
-    let dead = try_deadlock_states_parts(ctx, t, i)?;
-    if !dead.is_false() {
-        return Ok(Verdict::fail(dead));
-    }
-    let not_i = ctx.try_not_states(i)?;
-    if try_has_cycle_parts(ctx, t, not_i)? {
-        let mut core = not_i;
-        loop {
-            let with_succ = ctx.try_pre_parts(t, core)?;
-            let with_pred = ctx.try_img_parts(t, core)?;
-            let mut next = ctx.mgr().try_and(core, with_succ)?;
-            next = ctx.mgr().try_and(next, with_pred)?;
-            if next == core {
-                break;
-            }
-            core = next;
-        }
-        return Ok(Verdict::fail(core));
-    }
-    Ok(Verdict::ok())
-}
-
-/// Infallible [`try_weak_convergence_parts`].
-pub fn weak_convergence_parts(
-    ctx: &mut SymbolicContext,
-    engine: Engine,
-    t: &PartitionedRelation,
-    i: Bdd,
-) -> Verdict {
-    try_weak_convergence_parts(ctx, engine, t, i).expect(INFALLIBLE)
-}
-
-/// Partitioned [`try_weak_convergence`]. Under [`Engine::Saturation`]
-/// the backward closure fires partitions to local fixpoints; the
-/// reachable set (a least fixpoint) is identical either way.
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_weak_convergence_parts(
-    ctx: &mut SymbolicContext,
-    engine: Engine,
-    t: &PartitionedRelation,
-    i: Bdd,
-) -> Result<Verdict, BddError> {
-    let reach = ctx.try_backward_closure_parts(engine, t, i)?;
-    let missing = ctx.try_not_states(reach)?;
-    Ok(if missing.is_false() { Verdict::ok() } else { Verdict::fail(missing) })
-}
-
-/// Infallible [`try_self_stabilizing_parts`].
-pub fn self_stabilizing_parts(
-    ctx: &mut SymbolicContext,
-    engine: Engine,
-    t: &PartitionedRelation,
-    i: Bdd,
-    strong: bool,
-) -> bool {
-    try_self_stabilizing_parts(ctx, engine, t, i, strong).expect(INFALLIBLE)
-}
-
-/// Partitioned [`try_self_stabilizing`].
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_self_stabilizing_parts(
-    ctx: &mut SymbolicContext,
-    engine: Engine,
-    t: &PartitionedRelation,
-    i: Bdd,
-    strong: bool,
-) -> Result<bool, BddError> {
-    Ok(try_closure_holds_parts(ctx, t, i)?
-        && if strong {
-            try_strong_convergence_parts(ctx, t, i)?.holds
-        } else {
-            try_weak_convergence_parts(ctx, engine, t, i)?.holds
         })
 }
 

@@ -239,22 +239,9 @@ impl SymbolicContext {
         &self.protocol
     }
 
-    /// The variable layout this context was built with. Partial renames
-    /// (as used by the partitioned engines) are only order-preserving
-    /// under [`VarOrder::Interleaved`].
+    /// The variable layout this context was built with.
     pub fn var_order(&self) -> VarOrder {
         self.order
-    }
-
-    /// Current-state bits of one protocol variable (LSB first).
-    pub(crate) fn cur_bits(&self, v: VarIdx) -> &[VarId] {
-        &self.bits[v.0].cur
-    }
-
-    /// Primed bits of one protocol variable, aligned with
-    /// [`SymbolicContext::cur_bits`].
-    pub(crate) fn primed_bits(&self, v: VarIdx) -> &[VarId] {
-        &self.bits[v.0].primed
     }
 
     /// Mutable access to the underlying BDD manager.
@@ -537,27 +524,6 @@ impl SymbolicContext {
         let mut rel = self.frame(g.process);
         // Conjoin highest-level constraints first (reads/writes are sorted
         // ascending; go in reverse to build bottom-up).
-        for c in constraints.into_iter().rev() {
-            rel = self.mgr.try_and(rel, c)?;
-        }
-        Ok(rel)
-    }
-
-    /// Frameless local relation of one group: readable source cube ∧
-    /// written target cube, **without** the process frame. The disjunctive
-    /// partitioning (`partition.rs`) builds per-process relations from
-    /// these — each partition quantifies/renames only its own written
-    /// bits, so the frame over everything else would be dead weight.
-    pub(crate) fn try_group_frameless(&mut self, g: &GroupDesc) -> Result<Bdd, BddError> {
-        let proc = &self.protocol.processes()[g.process.0];
-        let mut constraints: Vec<Bdd> = Vec::with_capacity(g.pre.len() + g.post.len());
-        for (r, &val) in proc.reads.iter().zip(&g.pre) {
-            constraints.push(self.value_cur[r.0][val as usize]);
-        }
-        for (w, &val) in proc.writes.iter().zip(&g.post) {
-            constraints.push(self.value_primed[w.0][val as usize]);
-        }
-        let mut rel = self.mgr.one();
         for c in constraints.into_iter().rev() {
             rel = self.mgr.try_and(rel, c)?;
         }

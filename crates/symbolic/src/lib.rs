@@ -21,12 +21,6 @@
 //! * [`check`] — symbolic closure / deadlock / strong- and weak-
 //!   convergence checking (Proposition II.1), used to *verify* every
 //!   synthesized protocol,
-//! * [`partition`] — disjunctively partitioned transition relations:
-//!   per-process frameless relation clusters with early-quantification
-//!   schedules, plus saturation-ordered closures. The [`Engine`] choice
-//!   (`monolithic` / `partitioned` / `saturation`) selects between them
-//!   everywhere a fixpoint is driven; all engines return identical
-//!   canonical BDDs,
 //! * [`trace`] — concrete counterexample/witness executions (paths,
 //!   non-progress cycles, recovery demonstrations) extracted from the
 //!   symbolic representation.
@@ -36,23 +30,15 @@
 pub mod check;
 pub mod encode;
 pub mod image;
-pub mod partition;
 pub mod ranks;
 pub mod scc;
 pub mod trace;
 
-pub use check::{
-    closure_holds, deadlock_states, self_stabilizing_parts, strong_convergence,
-    strong_convergence_parts, try_closure_holds_parts, try_deadlock_states_parts,
-    try_self_stabilizing_parts, try_strong_convergence_parts, try_weak_convergence_parts,
-    weak_convergence, weak_convergence_parts, Verdict,
-};
+pub use check::{closure_holds, deadlock_states, strong_convergence, weak_convergence, Verdict};
 pub use encode::{SymbolicContext, VarOrder};
-pub use partition::{Engine, Partition, PartitionedRelation, DEFAULT_CLUSTER_CAP};
 pub use ranks::{
-    compute_ranks, compute_ranks_parts, try_compute_ranks, try_compute_ranks_parts,
-    try_compute_ranks_parts_resumed, try_compute_ranks_resumed, RankLayerObserver, RankTable,
+    compute_ranks, try_compute_ranks, try_compute_ranks_resumed, RankLayerObserver, RankTable,
     RanksInterrupted,
 };
-pub use scc::{has_cycle, has_cycle_parts, scc_decomposition, try_has_cycle_parts, SccAlgorithm};
+pub use scc::{has_cycle, scc_decomposition, SccAlgorithm};
 pub use stsyn_bdd::{BddError, Budget, Resource};

@@ -11,7 +11,6 @@
 //! procedure for weak stabilization.
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
-use crate::partition::PartitionedRelation;
 use stsyn_bdd::{Bdd, BddError, Manager};
 use stsyn_obs::{Json, TraceLevel};
 
@@ -146,106 +145,6 @@ pub fn try_compute_ranks_resumed(
         explored = step!(ctx.mgr().try_or(explored, fresh));
         // The per-rank frontier size is the paper's Fig. 7/9 space metric;
         // the node count is only computed when a Debug-level sink wants it.
-        if ctx.mgr_ref().tracer().level_enabled(TraceLevel::Debug) {
-            let nodes = ctx.mgr_ref().node_count(fresh) as u64;
-            ctx.mgr_ref().tracer().debug(
-                "rank.layer",
-                &[("rank", Json::from((ranks.len() - 1) as u64)), ("nodes", Json::from(nodes))],
-            );
-        }
-        if let Some(obs) = observer.as_mut() {
-            obs(ctx.mgr_ref(), ranks.len() - 1, fresh);
-        }
-    }
-    let infinite = step!(ctx.try_not_states(explored));
-    Ok(RankTable { ranks, explored, infinite })
-}
-
-/// Infallible [`try_compute_ranks_parts`] for unbudgeted runs.
-pub fn compute_ranks_parts(
-    ctx: &mut SymbolicContext,
-    relation: &PartitionedRelation,
-    i: Bdd,
-) -> RankTable {
-    match try_compute_ranks_parts(ctx, relation, i) {
-        Ok(table) => table,
-        Err(e) => panic!("{INFALLIBLE}: {}", e.cause),
-    }
-}
-
-/// `ComputeRanks` over a partitioned relation. Produces a [`RankTable`]
-/// identical to [`try_compute_ranks`] on the monolithic relation.
-#[must_use = "an interrupted ranking is reported through the Result"]
-pub fn try_compute_ranks_parts(
-    ctx: &mut SymbolicContext,
-    relation: &PartitionedRelation,
-    i: Bdd,
-) -> Result<RankTable, Box<RanksInterrupted>> {
-    try_compute_ranks_parts_resumed(ctx, relation, i, &[], None)
-}
-
-/// [`try_compute_ranks_parts`] with checkpoint/resume support — the
-/// partitioned counterpart of [`try_compute_ranks_resumed`], with the
-/// same prefix/observer contract.
-///
-/// Two differences from the monolithic loop, neither visible in the
-/// result:
-///
-/// * the backward step is the clustered per-partition preimage,
-/// * it steps from the last committed *frontier* rather than the whole
-///   explored set. That is the same layer: a state outside `explored`
-///   with a successor at distance ≤ k must have a successor at distance
-///   exactly k (else it would already be explored), so
-///   `pre(frontier) ∖ explored = pre(explored) ∖ explored`. Layer
-///   boundaries — and hence checkpoints and synthesized protocols —
-///   are byte-identical across engines.
-#[must_use = "an interrupted ranking is reported through the Result"]
-pub fn try_compute_ranks_parts_resumed(
-    ctx: &mut SymbolicContext,
-    relation: &PartitionedRelation,
-    i: Bdd,
-    prefix: &[Bdd],
-    mut observer: Option<RankLayerObserver<'_>>,
-) -> Result<RankTable, Box<RanksInterrupted>> {
-    let mut ranks = vec![i];
-    let mut explored = i;
-    for &layer in prefix {
-        match ctx.mgr().try_or(explored, layer) {
-            Ok(e) => {
-                explored = e;
-                ranks.push(layer);
-            }
-            Err(cause) => {
-                return Err(Box::new(RanksInterrupted { cause, ranks_so_far: ranks, explored }))
-            }
-        }
-    }
-    macro_rules! step {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(cause) => {
-                    return Err(Box::new(RanksInterrupted { cause, ranks_so_far: ranks, explored }))
-                }
-            }
-        };
-    }
-    loop {
-        {
-            let mut extra: Vec<Bdd> = relation.roots();
-            extra.push(explored);
-            extra.extend(ranks.iter().copied());
-            step!(ctx.mgr().enforce_node_budget(&extra));
-        }
-        let frontier = *ranks.last().expect("rank 0 is always present");
-        let back = step!(ctx.try_pre_parts(relation, frontier));
-        let not_explored = step!(ctx.mgr().try_not(explored));
-        let fresh = step!(ctx.mgr().try_and(back, not_explored));
-        if fresh.is_false() {
-            break;
-        }
-        ranks.push(fresh);
-        explored = step!(ctx.mgr().try_or(explored, fresh));
         if ctx.mgr_ref().tracer().level_enabled(TraceLevel::Debug) {
             let nodes = ctx.mgr_ref().node_count(fresh) as u64;
             ctx.mgr_ref().tracer().debug(

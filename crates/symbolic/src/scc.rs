@@ -18,7 +18,6 @@
 //! verifier, which only need a yes/no answer.
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
-use crate::partition::PartitionedRelation;
 use stsyn_bdd::{Bdd, BddError};
 use stsyn_obs::{Json, TraceLevel};
 
@@ -64,50 +63,6 @@ fn forward_core(ctx: &mut SymbolicContext, relation: Bdd, x: Bdd) -> Result<Bdd,
             return Ok(set);
         }
         let with_succ = ctx.try_pre(relation, set)?;
-        let next = ctx.mgr().try_and(set, with_succ)?;
-        if next == set {
-            return Ok(set);
-        }
-        set = next;
-    }
-}
-
-/// Infallible [`try_has_cycle_parts`].
-pub fn has_cycle_parts(ctx: &mut SymbolicContext, t: &PartitionedRelation, x: Bdd) -> bool {
-    try_has_cycle_parts(ctx, t, x).expect(INFALLIBLE)
-}
-
-/// Does the partitioned relation, restricted to `x`, contain a cycle?
-///
-/// Unlike [`try_has_cycle`] this never materializes the restricted
-/// relation: the forward core starts from `x` and every iterate stays
-/// inside it, so conjoining with the full-relation preimage visits
-/// exactly the transitions with both endpoints in `x`. The iterates —
-/// and hence the verdict — match the monolithic computation BDD for
-/// BDD.
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_has_cycle_parts(
-    ctx: &mut SymbolicContext,
-    t: &PartitionedRelation,
-    x: Bdd,
-) -> Result<bool, BddError> {
-    Ok(!forward_core_parts(ctx, t, x)?.is_false())
-}
-
-/// νZ. X ∧ pre(Z) over a partitioned relation; see [`forward_core`].
-/// Greatest fixpoints do not decompose over the OR of per-partition
-/// preimages, so every iteration takes one full clustered preimage.
-pub(crate) fn forward_core_parts(
-    ctx: &mut SymbolicContext,
-    t: &PartitionedRelation,
-    x: Bdd,
-) -> Result<Bdd, BddError> {
-    let mut set = x;
-    loop {
-        if set.is_false() {
-            return Ok(set);
-        }
-        let with_succ = ctx.try_pre_parts(t, set)?;
         let next = ctx.mgr().try_and(set, with_succ)?;
         if next == set {
             return Ok(set);

@@ -13,12 +13,10 @@ use proptest::prelude::*;
 use stsyn_protocol::action::Action;
 use stsyn_protocol::explicit::{check_convergence, is_closed, predicate_states, ExplicitGraph};
 use stsyn_protocol::expr::Expr;
-use stsyn_protocol::group::groups_of_protocol;
 use stsyn_protocol::topology::{ProcIdx, ProcessDecl, VarDecl, VarIdx};
 use stsyn_protocol::Protocol;
 use stsyn_symbolic::check::{closure_holds, deadlock_states, strong_convergence, weak_convergence};
-use stsyn_symbolic::ranks::{compute_ranks, compute_ranks_parts};
-use stsyn_symbolic::{Engine, SymbolicContext};
+use stsyn_symbolic::SymbolicContext;
 
 #[derive(Debug, Clone)]
 struct Spec {
@@ -141,43 +139,6 @@ proptest! {
         let report = check_convergence(&p, &i_expr);
         prop_assert_eq!(strong_convergence(&mut ctx, t, i).holds, report.strongly_converges());
         prop_assert_eq!(weak_convergence(&mut ctx, t, i).holds, report.weakly_converges());
-    }
-
-    /// The partitioned and saturation engines return the same canonical
-    /// BDDs as the monolithic operators — image, preimage, enabledness,
-    /// both closures and the full rank table — on arbitrary protocols,
-    /// not just the hand-picked case studies.
-    #[test]
-    fn partitioned_engines_agree_with_monolithic(spec in arb_spec()) {
-        let Some((p, i_expr)) = build(&spec) else { return Ok(()); };
-        let mut ctx = SymbolicContext::new(p.clone());
-        let t = ctx.protocol_relation();
-        let i = ctx.compile(&i_expr);
-        let parts = ctx.partitioned_relation(&groups_of_protocol(&p));
-
-        let not_i = ctx.mgr().not(i);
-        let tt = ctx.mgr().one();
-        for x in [i, not_i, tt] {
-            prop_assert_eq!(ctx.img(t, x), ctx.img_parts(&parts, x));
-            prop_assert_eq!(ctx.pre(t, x), ctx.pre_parts(&parts, x));
-            for engine in [Engine::Partitioned, Engine::Saturation] {
-                prop_assert_eq!(
-                    ctx.forward_closure(t, x),
-                    ctx.forward_closure_parts(engine, &parts, x)
-                );
-                prop_assert_eq!(
-                    ctx.backward_closure(t, x),
-                    ctx.backward_closure_parts(engine, &parts, x)
-                );
-            }
-        }
-        prop_assert_eq!(ctx.enabled(t), ctx.enabled_parts(&parts));
-
-        let mono = compute_ranks(&mut ctx, t, i);
-        let part = compute_ranks_parts(&mut ctx, &parts, i);
-        prop_assert_eq!(mono.ranks, part.ranks);
-        prop_assert_eq!(mono.explored, part.explored);
-        prop_assert_eq!(mono.infinite, part.infinite);
     }
 
     #[test]
