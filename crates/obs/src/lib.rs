@@ -11,10 +11,12 @@
 //! - [`progress`] — [`ProgressBus`], a bounded per-job ring of progress
 //!   frames the tracer tees into, backing the serve daemon's live
 //!   `watch` streaming.
-//! - [`metrics`] — [`MetricsText`], a Prometheus-style text exposition
-//!   builder used by the serve daemon's `metrics` verb and the CLI
-//!   `--metrics` flag, plus the log-bucketed [`LatencyHistogram`]
-//!   behind the `stsyn_*_seconds` series.
+//! - [`metrics`] — the counter [`Row`] tables every layer publishes
+//!   through, [`MetricsText`] (the Prometheus text format), and the
+//!   log-bucketed [`LatencyHistogram`] behind the `stsyn_*_seconds`
+//!   series.
+//! - [`stats`] — [`SynthesisStats`], a synthesis run's counters, and
+//!   the one table that renders them on every surface.
 //! - [`summary`] — validation and Table-1-style summarization of trace
 //!   files, backing `stsyn trace-summary` and the CI trace-smoke job.
 //! - [`json`] — the dependency-free JSON value used both for trace
@@ -25,12 +27,16 @@
 pub mod json;
 pub mod metrics;
 pub mod progress;
+pub mod stats;
 pub mod summary;
 pub mod trace;
 
 pub use json::{Json, JsonError};
-pub use metrics::{HistogramSnapshot, LatencyHistogram, MetricsText, LATENCY_BUCKETS};
+pub use metrics::{
+    HistogramSnapshot, Kind, LatencyHistogram, MetricsText, Names, Row, Value, LATENCY_BUCKETS,
+};
 pub use progress::{is_progress_event, Progress, ProgressBus, ProgressReceiver};
+pub use stats::SynthesisStats;
 pub use summary::{
     open_spans, parse_trace, parse_trace_lenient, summarize, summarize_file, LenientTrace,
     TraceError, TraceSummary,

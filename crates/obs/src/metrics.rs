@@ -1,12 +1,24 @@
-//! A Prometheus-style text exposition builder.
+//! Counter tables and the Prometheus text format.
 //!
-//! The pipeline's metric sources are plain integers and atomics owned by
-//! their layers (serve's `Counters`, the BDD `ManagerStats`, the
-//! synthesis stats), so instead of a global registry this module offers a
-//! small builder that renders those values in the Prometheus text format
-//! (`# HELP` / `# TYPE` headers, one sample per line). The serve daemon's
-//! `metrics` verb and the CLI `--metrics` flag both render through it.
+//! Every counter the pipeline publishes is named once, in one table per
+//! layer. A table row holds the counter's JSON key, its Prometheus
+//! series, its type, its help text and a getter that reads it from the
+//! layer's own state:
+//!
+//! - [`Row`] tables in `stsyn-serve`: the daemon's job counters, gauges,
+//!   latency histograms and store counters (`stats`, `metrics`,
+//!   `store-stats`, and the router's fleet sums via [`Row::fleet`]),
+//!   and the router's own counters;
+//! - [`crate::stats::STATS`] over [`crate::stats::SynthesisStats`]: the
+//!   `synthesis.stats` trace record, the job result's `stats`, the
+//!   one-shot `--metrics` output and the statistics block.
+//!
+//! Every surface renders by looping over its table, so a JSON key and
+//! its series can never drift apart. [`MetricsText`] renders rows in the
+//! Prometheus text format (`# HELP` / `# TYPE` headers, one sample per
+//! line); [`valid_name`] is the name check every series must pass.
 
+use crate::json::Json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,7 +103,6 @@ impl HistogramSnapshot {
     /// Wire form, as exposed in the serve daemon's `stats` response:
     /// `{"buckets":[..],"sum_us":N,"count":N}`.
     pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
         Json::obj(vec![
             ("buckets", Json::Arr(self.buckets.iter().map(|&b| Json::from(b)).collect())),
             ("sum_us", self.sum_us.into()),
@@ -101,7 +112,6 @@ impl HistogramSnapshot {
 
     /// Parse the wire form back (used by the router's fleet aggregation).
     pub fn from_json(v: &crate::json::Json) -> Option<HistogramSnapshot> {
-        use crate::json::Json;
         let buckets = match v.get("buckets")? {
             Json::Arr(items) => items.iter().map(Json::as_u64).collect::<Option<Vec<u64>>>()?,
             _ => return None,
@@ -146,16 +156,132 @@ fn le_label(bound_us: u64) -> String {
     s
 }
 
+/// The Prometheus type of a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotonically increasing count.
+    Counter,
+    /// A point-in-time value.
+    Gauge,
+    /// A latency distribution in the [`LATENCY_BUCKET_BOUNDS_US`] layout.
+    Histogram,
+}
+
+impl Kind {
+    /// The word on the `# TYPE` line.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// A row's value at one instant.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A counter or gauge reading.
+    Num(f64),
+    /// A histogram reading.
+    Hist(HistogramSnapshot),
+}
+
+impl Value {
+    /// The JSON form: a number, or the histogram's wire form.
+    pub fn to_json(&self) -> Json {
+        match self {
+            Value::Num(n) => Json::Num(*n),
+            Value::Hist(h) => h.to_json(),
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::Num(v as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Value {
+        Value::Num(v as f64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Num(v)
+    }
+}
+
+impl From<HistogramSnapshot> for Value {
+    fn from(v: HistogramSnapshot) -> Value {
+        Value::Hist(v)
+    }
+}
+
+/// Every name one counter is published under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Names {
+    /// Key in the layer's JSON answer, or `None` for a series-only row.
+    pub key: Option<&'static str>,
+    /// Prometheus series, or `None` for a JSON-only row.
+    pub prom: Option<&'static str>,
+    /// Prometheus type.
+    pub kind: Kind,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// Series under which a fleet router publishes this row summed over
+    /// its shards, if it does.
+    pub fleet: Option<&'static str>,
+}
+
+/// One counter of a table over the state `S`: its names, and how to
+/// read it.
+pub struct Row<S> {
+    /// Every name the row is published under.
+    pub names: Names,
+    /// Reads the row from the layer's state.
+    pub get: fn(&S) -> Value,
+}
+
+impl<S> Row<S> {
+    /// A row published under `key` in JSON and `prom` in Prometheus.
+    pub const fn new(
+        kind: Kind,
+        key: Option<&'static str>,
+        prom: Option<&'static str>,
+        help: &'static str,
+        get: fn(&S) -> Value,
+    ) -> Row<S> {
+        Row { names: Names { key, prom, kind, help, fleet: None }, get }
+    }
+
+    /// The same row, also summed over a router's shards as `series`.
+    pub const fn fleet(mut self, series: &'static str) -> Row<S> {
+        self.names.fleet = Some(series);
+        self
+    }
+}
+
+/// The `(key, value)` pairs of every row of `rows` that has a JSON key,
+/// in table order.
+pub fn json_pairs<S>(rows: &[Row<S>], state: &S) -> Vec<(&'static str, Json)> {
+    rows.iter().filter_map(|r| Some((r.names.key?, (r.get)(state).to_json()))).collect()
+}
+
+/// Whether `name` is a valid Prometheus metric name.
+pub fn valid_name(name: &str) -> bool {
+    !name.is_empty()
+        && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
+        && !name.as_bytes()[0].is_ascii_digit()
+}
+
 /// Accumulates metric samples and renders the Prometheus text format.
 #[derive(Debug, Default)]
 pub struct MetricsText {
     buf: String,
-}
-
-fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
-        && !name.as_bytes()[0].is_ascii_digit()
 }
 
 impl MetricsText {
@@ -164,41 +290,44 @@ impl MetricsText {
         MetricsText::default()
     }
 
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
+    /// Add one sample. A counter renders as an integer, a gauge as a
+    /// float; a histogram renders in the standard Prometheus expansion:
+    /// cumulative `{name}_bucket{le="..."}` samples (seconds),
+    /// `{name}_sum` (seconds) and `{name}_count`, so its `name` should
+    /// end in `_seconds`.
+    pub fn sample(&mut self, name: &str, kind: Kind, help: &str, value: &Value) -> &mut Self {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
         let _ = writeln!(self.buf, "# HELP {name} {help}");
-        let _ = writeln!(self.buf, "# TYPE {name} {kind}");
-    }
-
-    /// Add a monotonically-increasing counter sample.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
-        self.header(name, help, "counter");
-        let _ = writeln!(self.buf, "{name} {value}");
-        self
-    }
-
-    /// Add a point-in-time gauge sample.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
-        self.header(name, help, "gauge");
-        let _ = writeln!(self.buf, "{name} {value}");
-        self
-    }
-
-    /// Add a histogram in the standard Prometheus expansion: cumulative
-    /// `{name}_bucket{{le="..."}}` samples (seconds), `{name}_sum`
-    /// (seconds) and `{name}_count`. `name` should therefore end in
-    /// `_seconds`.
-    pub fn histogram(&mut self, name: &str, help: &str, snap: &HistogramSnapshot) -> &mut Self {
-        self.header(name, help, "histogram");
-        let mut cumulative = 0u64;
-        for (i, bound) in LATENCY_BUCKET_BOUNDS_US.iter().enumerate() {
-            cumulative += snap.buckets.get(i).copied().unwrap_or(0);
-            let le = le_label(*bound);
-            let _ = writeln!(self.buf, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+        let _ = writeln!(self.buf, "# TYPE {name} {}", kind.name());
+        match value {
+            Value::Num(v) if kind == Kind::Counter => {
+                let _ = writeln!(self.buf, "{name} {}", *v as u64);
+            }
+            Value::Num(v) => {
+                let _ = writeln!(self.buf, "{name} {v}");
+            }
+            Value::Hist(snap) => {
+                let mut cumulative = 0u64;
+                for (i, bound) in LATENCY_BUCKET_BOUNDS_US.iter().enumerate() {
+                    cumulative += snap.buckets.get(i).copied().unwrap_or(0);
+                    let le = le_label(*bound);
+                    let _ = writeln!(self.buf, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                }
+                let _ = writeln!(self.buf, "{name}_bucket{{le=\"+Inf\"}} {}", snap.count);
+                let _ = writeln!(self.buf, "{name}_sum {}", snap.sum_us as f64 / 1e6);
+                let _ = writeln!(self.buf, "{name}_count {}", snap.count);
+            }
         }
-        let _ = writeln!(self.buf, "{name}_bucket{{le=\"+Inf\"}} {}", snap.count);
-        let _ = writeln!(self.buf, "{name}_sum {}", snap.sum_us as f64 / 1e6);
-        let _ = writeln!(self.buf, "{name}_count {}", snap.count);
+        self
+    }
+
+    /// Add a sample for every row of `rows` that has a series.
+    pub fn rows<S>(&mut self, rows: &[Row<S>], state: &S) -> &mut Self {
+        for r in rows {
+            if let Some(name) = r.names.prom {
+                self.sample(name, r.names.kind, r.names.help, &(r.get)(state));
+            }
+        }
         self
     }
 
@@ -217,18 +346,45 @@ impl MetricsText {
 mod tests {
     use super::*;
 
+    struct Pool {
+        completed: u64,
+        depth: usize,
+        busy: f64,
+    }
+
+    const POOL: &[Row<Pool>] = &[
+        Row::new(
+            Kind::Counter,
+            Some("completed"),
+            Some("stsyn_jobs_completed_total"),
+            "Jobs finished successfully.",
+            |p| p.completed.into(),
+        ),
+        Row::new(
+            Kind::Gauge,
+            Some("depth"),
+            Some("stsyn_queue_depth"),
+            "Jobs waiting in the queue.",
+            |p| p.depth.into(),
+        ),
+        Row::new(Kind::Gauge, None, Some("stsyn_worker_utilization"), "Busy fraction.", |p| {
+            p.busy.into()
+        }),
+        Row::new(Kind::Gauge, Some("json_only"), None, "Not exported.", |_| 7u64.into()),
+    ];
+
     #[test]
-    fn renders_prometheus_text() {
+    fn renders_a_table_as_prometheus_text_and_json() {
+        let pool = Pool { completed: 3, depth: 2, busy: 0.5 };
         let mut m = MetricsText::new();
-        m.counter("stsyn_jobs_completed_total", "Jobs finished successfully.", 3)
-            .gauge("stsyn_queue_depth", "Jobs waiting in the queue.", 2.0)
-            .gauge("stsyn_worker_utilization", "Busy fraction of the pool.", 0.5);
+        m.rows(POOL, &pool);
         let text = m.render();
         assert!(text.contains("# TYPE stsyn_jobs_completed_total counter"));
         assert!(text.contains("stsyn_jobs_completed_total 3"));
         assert!(text.contains("# HELP stsyn_queue_depth Jobs waiting in the queue."));
         assert!(text.contains("stsyn_queue_depth 2"));
         assert!(text.contains("stsyn_worker_utilization 0.5"));
+        assert!(!text.contains("json_only"));
         // Every non-comment line is `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split_whitespace();
@@ -236,6 +392,8 @@ mod tests {
             assert!(parts.next().unwrap().parse::<f64>().is_ok());
             assert!(parts.next().is_none());
         }
+        let json = Json::obj(json_pairs(POOL, &pool));
+        assert_eq!(json.to_string(), r#"{"completed":3,"depth":2,"json_only":7}"#);
     }
 
     #[test]
@@ -252,7 +410,7 @@ mod tests {
         assert_eq!(snap.buckets[1], 1);
         assert_eq!(snap.buckets[LATENCY_BUCKETS - 1], 1);
         let mut m = MetricsText::new();
-        m.histogram("stsyn_queue_wait_seconds", "Queue wait distribution.", &snap);
+        m.sample("stsyn_queue_wait_seconds", Kind::Histogram, "Queue wait.", &snap.into());
         let text = m.render();
         assert!(text.contains("# TYPE stsyn_queue_wait_seconds histogram"));
         assert!(text.contains("stsyn_queue_wait_seconds_bucket{le=\"0.001\"} 2"));

@@ -7,6 +7,7 @@
 //! (which fails on any malformed record) and the trace test-suite.
 
 use crate::json::Json;
+use crate::stats::SynthesisStats;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -214,41 +215,9 @@ impl TraceSummary {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "trace summary: {} records, {} spans", self.records, self.spans);
-        let stat = |n: &str| self.stat(n).unwrap_or(0.0);
         if !self.stats.is_empty() {
-            let _ = writeln!(out, "\nTable-1 columns:");
-            let _ = writeln!(out, "  ranks (M)             : {}", stat("max_rank") as u64);
-            let _ = writeln!(out, "  candidates considered : {}", stat("candidates") as u64);
-            let _ = writeln!(out, "  groups added          : {}", stat("groups_added") as u64);
-            let _ = writeln!(out, "  finished in pass      : {}", stat("finished_in_pass") as u64);
-            let _ = writeln!(out, "  ranking time          : {:.3}s", stat("ranking_secs"));
-            let _ = writeln!(
-                out,
-                "  SCC detection time    : {:.3}s ({} calls, {} SCCs)",
-                stat("scc_secs"),
-                stat("scc_calls") as u64,
-                stat("sccs_found") as u64
-            );
-            let _ = writeln!(out, "  total time            : {:.3}s", stat("total_secs"));
-            let _ = writeln!(
-                out,
-                "  program size          : {} BDD nodes",
-                stat("program_nodes") as u64
-            );
-            let _ =
-                writeln!(out, "  avg SCC size          : {:.1} BDD nodes", stat("avg_scc_nodes"));
-            let _ = writeln!(out, "  peak live nodes       : {}", stat("peak_live_nodes") as u64);
-            let _ = writeln!(out, "  BDD ticks             : {}", stat("bdd_ticks") as u64);
-            if let (Some(lookups), Some(hits)) =
-                (self.stat("cache_lookups"), self.stat("cache_hits"))
-            {
-                let rate = if lookups > 0.0 { 100.0 * hits / lookups } else { 0.0 };
-                let _ = writeln!(
-                    out,
-                    "  op-cache hit rate     : {rate:.1}% ({} / {})",
-                    hits as u64, lookups as u64
-                );
-            }
+            let stats = SynthesisStats::from_record(|k| self.stat(k));
+            let _ = write!(out, "\nTable-1 columns:\n{}", stats.render_block());
         }
         if !self.rank_nodes.is_empty() {
             let _ = writeln!(out, "\nper-rank frontier (rank: BDD nodes):");

@@ -389,36 +389,16 @@ fn print_report(report: &JobReport, args: &Args) -> ExitCode {
         }
     }
     if !args.quiet {
-        print_stats(&report.outcome.stats);
+        print!("\nstatistics:\n{}", report.outcome.stats.render_block());
     }
     if args.metrics {
-        print!("{}", oneshot_metrics(&report.outcome.stats).render());
+        print!("{}", report.outcome.stats.metrics().render());
     }
     if report.verified {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_SYNTH)
     }
-}
-
-fn print_stats(s: &stsyn_core::SynthesisStats) {
-    println!("\nstatistics:");
-    println!("  candidates considered : {}", s.candidates);
-    println!("  groups added          : {}", s.groups_added);
-    println!("  ranks (M)             : {}", s.max_rank);
-    println!("  finished in pass      : {}", s.finished_in_pass);
-    println!("  ranking time          : {:.3}s", s.ranking_secs());
-    println!(
-        "  SCC detection time    : {:.3}s ({} calls, {} SCCs)",
-        s.scc_secs(),
-        s.scc_calls,
-        s.sccs_found
-    );
-    println!("  total time            : {:.3}s", s.total_secs());
-    println!("  program size          : {} BDD nodes", s.program_nodes);
-    println!("  avg SCC size          : {:.1} BDD nodes", s.avg_scc_nodes());
-    println!("  peak live nodes       : {}", s.peak_live_nodes);
-    println!("  BDD ticks             : {}", s.bdd_ticks);
 }
 
 fn report_synthesis_error(e: SynthesisError) -> ExitCode {
@@ -465,33 +445,6 @@ fn report_exhausted(
     );
     eprintln!("stsyn: raise --timeout / --max-nodes and retry");
     ExitCode::from(EXIT_RESOURCES)
-}
-
-/// The one-shot run's statistics as Prometheus text exposition
-/// (`--metrics`), mirroring the `metrics` verb of the daemon.
-fn oneshot_metrics(s: &stsyn_core::SynthesisStats) -> stsyn_obs::MetricsText {
-    let mut m = stsyn_obs::MetricsText::new();
-    m.counter("stsyn_candidates_total", "Candidate groups considered", s.candidates as u64)
-        .counter("stsyn_groups_added_total", "Recovery groups added", s.groups_added as u64)
-        .counter("stsyn_scc_calls_total", "SCC decomposition calls", s.scc_calls as u64)
-        .counter("stsyn_sccs_found_total", "Non-trivial SCCs found", s.sccs_found as u64)
-        .counter("stsyn_bdd_ticks_total", "Budgeted BDD operations", s.bdd_ticks)
-        .gauge("stsyn_max_rank", "Number of ranks (paper's M)", s.max_rank as f64)
-        .gauge(
-            "stsyn_finished_in_pass",
-            "Pass that removed the last deadlock",
-            f64::from(s.finished_in_pass),
-        )
-        .gauge(
-            "stsyn_program_nodes",
-            "Synthesized program size in BDD nodes",
-            s.program_nodes as f64,
-        )
-        .gauge("stsyn_peak_live_nodes", "Peak live BDD nodes", s.peak_live_nodes as f64)
-        .gauge("stsyn_ranking_seconds", "Wall time of ComputeRanks", s.ranking_secs())
-        .gauge("stsyn_scc_seconds", "Wall time of SCC detection", s.scc_secs())
-        .gauge("stsyn_total_seconds", "Wall time of the whole run", s.total_secs());
-    m
 }
 
 // --------------------------------------------------------- trace-summary

@@ -65,9 +65,10 @@
 
 use crate::client::{Client, ClientError, RetryPolicy};
 use crate::json::Json;
+use crate::server::{self, load, stats_value, store_stats_key};
 use crate::wire::{
-    error_json, fold_idem, read_line_bounded, SubmitSpec, CODE_DEGRADED, CODE_NO_SHARDS,
-    MAX_REQUEST_BYTES,
+    error_json, fold_idem, read_line_bounded, serve_conn, write_line, SubmitSpec, CODE_DEGRADED,
+    CODE_NO_SHARDS, MAX_REQUEST_BYTES,
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -76,6 +77,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use stsyn_obs::metrics::{json_pairs, Kind, Kind::*, Names, Row, Value};
 use stsyn_obs::{HistogramSnapshot, MetricsText, Tracer};
 
 /// splitmix64 finalizer: a bijective avalanche mix, so distinct inputs
@@ -239,22 +241,16 @@ impl RouterConfig {
 }
 
 /// Router-local counters (the fleet's job counters live on the shards;
-/// `fleet-stats` aggregates both).
+/// `fleet-stats` aggregates both). Each field is a row of
+/// [`ROUTER_ROWS`], whose help text says what it counts.
 #[derive(Debug, Default)]
 struct RouterCounters {
-    /// Submissions admitted (a router id was created).
     accepted: AtomicU64,
-    /// Submissions answered from the router's idempotency map.
     dedup_hits: AtomicU64,
-    /// Jobs resubmitted to a surviving shard after their home shard died.
     failovers: AtomicU64,
-    /// Requests answered `no-shards` (no shard available at all).
     no_shards: AtomicU64,
-    /// Requests answered `degraded` (home shard down, no failover path).
     degraded: AtomicU64,
-    /// Requests forwarded to a shard.
     forwarded: AtomicU64,
-    /// Forwards that failed at the transport layer.
     forward_errors: AtomicU64,
 }
 
@@ -607,55 +603,18 @@ fn forward_submit(shared: &Shared, key: u64, spec: &SubmitSpec) -> Result<(usize
 // ------------------------------------------------------------- serving
 
 fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    if !shared.cfg.io_timeout.is_zero() {
-        stream.set_read_timeout(Some(shared.cfg.io_timeout))?;
-        stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let line = match read_line_bounded(&mut reader, MAX_REQUEST_BYTES) {
-            Ok(None) => return Ok(()),
-            Ok(Some(line)) => line,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                return Ok(());
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let resp = error_json("bad-request", &e.to_string());
-                writer.write_all(resp.to_string().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match Json::parse(&line) {
-            // `watch` streams many frames on this connection instead of
-            // one response line, so it bypasses the one-shot dispatch.
-            Ok(req) if req.get("op").and_then(Json::as_str) == Some("watch") => {
-                match op_watch_proxy(shared, &req, &mut writer)? {
-                    None => continue,
-                    Some(resp) => resp,
-                }
-            }
-            Ok(req) => dispatch(shared, &req),
-            Err(e) => error_json("bad-request", &format!("malformed request: {e}")),
-        };
-        writer.write_all(response.to_string().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
+    serve_conn(
+        stream,
+        shared.cfg.io_timeout,
+        |req, writer| op_watch_proxy(shared, req, writer),
+        |req| dispatch(shared, req),
+    )
 }
 
 fn dispatch(shared: &Shared, req: &Json) -> Json {
     match req.get("op").and_then(Json::as_str) {
         Some("submit") => op_submit(shared, req),
         Some(op @ ("status" | "result" | "cancel")) => op_job(shared, req, op),
-        Some("wait") => op_wait(shared, req),
         Some("ping") => Json::obj(vec![
             ("ok", true.into()),
             ("pong", true.into()),
@@ -1019,10 +978,7 @@ fn watch_shard_stream(
             Some("status") => {
                 // Terminal frame: rewrite to the router's identity (the
                 // shard-local id must never leak) and finish the stream.
-                let resp = with_router_identity(v, router_id, shard);
-                writer.write_all(resp.to_string().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
+                write_line(writer, &with_router_identity(v, router_id, shard).to_string())?;
                 return Ok(StreamOutcome::Done);
             }
             Some(_) => {
@@ -1054,86 +1010,49 @@ fn watch_shard_stream(
     }
 }
 
-/// Server-side wait: poll the job's shard (following failovers) until it
-/// reaches a terminal state, then return its result — one blocking verb
-/// for clients that do not want to poll across the network themselves.
-fn op_wait(shared: &Shared, req: &Json) -> Json {
-    let Some(id) = req.get("id").and_then(Json::as_u64) else {
-        return error_json("bad-request", "request needs an integer `id`");
-    };
-    let timeout = req
-        .get("timeout_secs")
-        .and_then(Json::as_f64)
-        .filter(|s| *s > 0.0 && s.is_finite())
-        .unwrap_or(600.0)
-        .min(3600.0);
-    let deadline = Instant::now() + Duration::from_secs_f64(timeout);
-    let mut delay = Duration::from_millis(5);
-    loop {
-        let status =
-            op_job(shared, &Json::obj(vec![("op", "status".into()), ("id", id.into())]), "status");
-        if status.get("ok").and_then(Json::as_bool) != Some(true) {
-            return status; // typed error (unknown-job, degraded, ...)
-        }
-        match status.get("state").and_then(Json::as_str) {
-            Some("queued" | "running") => {}
-            _ => {
-                return op_job(
-                    shared,
-                    &Json::obj(vec![("op", "result".into()), ("id", id.into())]),
-                    "result",
-                )
-            }
-        }
-        if Instant::now() >= deadline {
-            let mut resp = error_json("not-finished", "job did not finish within the wait window");
-            if let Json::Obj(pairs) = &mut resp {
-                if let Some(state) = status.get("state").and_then(Json::as_str) {
-                    pairs.push(("state".into(), state.into()));
-                }
-            }
-            return resp;
-        }
-        std::thread::sleep(delay.min(deadline.saturating_duration_since(Instant::now())));
-        delay = (delay * 2).min(Duration::from_millis(400));
-    }
-}
-
 // ----------------------------------------------------- stats & metrics
 
-fn health_counts(shared: &Shared) -> (u64, u64, u64) {
-    let mut up = 0;
-    let mut degraded = 0;
-    let mut down = 0;
-    for s in &shared.shards {
-        match s.health() {
-            ShardHealth::Up => up += 1,
-            ShardHealth::Degraded => degraded += 1,
-            ShardHealth::Down => down += 1,
-        }
-    }
-    (up, degraded, down)
+fn shards_in(shared: &Shared, health: ShardHealth) -> Value {
+    shared.shards.iter().filter(|s| s.health() == health).count().into()
 }
 
+/// Every router counter and gauge, in `stats` key order: the single
+/// source of the router's `stats` and of the router half of
+/// `fleet-metrics`.
+#[rustfmt::skip]
+static ROUTER_ROWS: &[Row<Shared>] = &[
+    Row::new(Gauge, Some("shards"), Some("stsyn_fleet_shards"), "Configured shards",
+             |s| s.shards.len().into()),
+    Row::new(Gauge, Some("shards_up"), Some("stsyn_fleet_shards_up"), "Shards currently up",
+             |s| shards_in(s, ShardHealth::Up)),
+    Row::new(Gauge, Some("shards_degraded"), Some("stsyn_fleet_shards_degraded"), "Shards currently degraded",
+             |s| shards_in(s, ShardHealth::Degraded)),
+    Row::new(Gauge, Some("shards_down"), Some("stsyn_fleet_shards_down"), "Shards currently down",
+             |s| shards_in(s, ShardHealth::Down)),
+    Row::new(Counter, Some("accepted"), Some("stsyn_route_accepted_total"), "Submissions admitted by the router",
+             |s| load(&s.counters.accepted)),
+    Row::new(Counter, Some("dedup_hits"), Some("stsyn_route_dedup_total"), "Submissions answered from the router's idempotency map",
+             |s| load(&s.counters.dedup_hits)),
+    Row::new(Counter, Some("failovers"), Some("stsyn_route_failovers_total"), "Jobs resubmitted to a surviving shard after shard death",
+             |s| load(&s.counters.failovers)),
+    Row::new(Counter, Some("no_shards"), Some("stsyn_route_no_shards_total"), "Requests answered no-shards (whole fleet unreachable)",
+             |s| load(&s.counters.no_shards)),
+    Row::new(Counter, Some("degraded_answered"), Some("stsyn_route_degraded_total"), "Requests answered degraded (home shard down, no failover path)",
+             |s| load(&s.counters.degraded)),
+    Row::new(Counter, Some("forwarded"), Some("stsyn_route_forwarded_total"), "Requests forwarded to shards",
+             |s| load(&s.counters.forwarded)),
+    Row::new(Counter, Some("forward_errors"), Some("stsyn_route_forward_errors_total"), "Forwards that failed at the transport layer",
+             |s| load(&s.counters.forward_errors)),
+    Row::new(Gauge, Some("jobs_tracked"), None, "Router ids in the job map",
+             |s| lock_jobs(s).len().into()),
+    Row::new(Gauge, Some("uptime_secs"), Some("stsyn_route_uptime_seconds"), "Router uptime",
+             |s| s.started.elapsed().as_secs_f64().into()),
+];
+
 fn router_counter_pairs(shared: &Shared) -> Vec<(&'static str, Json)> {
-    let c = &shared.counters;
-    let (up, degraded, down) = health_counts(shared);
-    vec![
-        ("role", "router".into()),
-        ("shards", (shared.shards.len() as u64).into()),
-        ("shards_up", up.into()),
-        ("shards_degraded", degraded.into()),
-        ("shards_down", down.into()),
-        ("accepted", c.accepted.load(Ordering::Relaxed).into()),
-        ("dedup_hits", c.dedup_hits.load(Ordering::Relaxed).into()),
-        ("failovers", c.failovers.load(Ordering::Relaxed).into()),
-        ("no_shards", c.no_shards.load(Ordering::Relaxed).into()),
-        ("degraded_answered", c.degraded.load(Ordering::Relaxed).into()),
-        ("forwarded", c.forwarded.load(Ordering::Relaxed).into()),
-        ("forward_errors", c.forward_errors.load(Ordering::Relaxed).into()),
-        ("jobs_tracked", (lock_jobs(shared).len() as u64).into()),
-        ("uptime_secs", shared.started.elapsed().as_secs_f64().into()),
-    ]
+    let mut pairs = vec![("role", Json::from("router"))];
+    pairs.extend(json_pairs(ROUTER_ROWS, shared));
+    pairs
 }
 
 fn op_router_stats(shared: &Shared) -> Json {
@@ -1177,20 +1096,15 @@ fn op_fleet_stats(shared: &Shared) -> Json {
 /// nothing to the sums). `store-gc` forwards an optional `cap_bytes`
 /// override verbatim.
 fn op_store_fanout(shared: &Shared, req: &Json, op: &str) -> Json {
-    let sum_keys: &[&str] = if op == "store-gc" {
-        &["evicted", "freed_bytes", "entries", "bytes"]
+    // `store-stats` sums every store counter, and every store gauge that
+    // also has a fleet series (not the configured cap).
+    let sum_keys: Vec<&str> = if op == "store-gc" {
+        vec!["evicted", "freed_bytes", "entries", "bytes"]
     } else {
-        &[
-            "entries",
-            "bytes",
-            "hits",
-            "partial_hits",
-            "misses",
-            "evictions",
-            "corrupt_dropped",
-            "publishes",
-            "jobs_pruned",
-        ]
+        server::store_row_names()
+            .filter(|n| n.kind == Kind::Counter || n.fleet.is_some())
+            .filter_map(|n| store_stats_key(&n))
+            .collect()
     };
     let mut fwd_pairs: Vec<(&str, Json)> = vec![("op", op.into())];
     if let Some(cap) = req.get("cap_bytes").and_then(Json::as_u64) {
@@ -1210,7 +1124,7 @@ fn op_store_fanout(shared: &Shared, req: &Json, op: &str) -> Json {
             Ok(resp) => {
                 if resp.get("ok").and_then(Json::as_bool) == Some(true) {
                     reporting += 1;
-                    for (slot, key) in totals.iter_mut().zip(sum_keys) {
+                    for (slot, key) in totals.iter_mut().zip(&sum_keys) {
                         *slot += resp.get(key).and_then(Json::as_u64).unwrap_or(0);
                     }
                 }
@@ -1232,161 +1146,49 @@ fn op_store_fanout(shared: &Shared, req: &Json, op: &str) -> Json {
     Json::obj(pairs)
 }
 
-/// `fleet-metrics`: Prometheus text aggregating the fleet — router-level
-/// series plus job counters summed across every reachable shard.
+/// `fleet-metrics`: Prometheus text aggregating the fleet — the router's
+/// own rows, plus every daemon row with a fleet series summed over the
+/// reachable shards' `stats`. Histograms sum bucket-wise — the whole
+/// point of shipping buckets (not averages) on the wire.
 fn op_fleet_metrics(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let (up, degraded, down) = health_counts(shared);
     let mut m = MetricsText::new();
-    m.counter(
-        "stsyn_route_accepted_total",
-        "Submissions admitted by the router",
-        c.accepted.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_route_dedup_total",
-        "Submissions answered from the router's idempotency map",
-        c.dedup_hits.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_route_failovers_total",
-        "Jobs resubmitted to a surviving shard after shard death",
-        c.failovers.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_route_no_shards_total",
-        "Requests answered no-shards (whole fleet unreachable)",
-        c.no_shards.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_route_degraded_total",
-        "Requests answered degraded (home shard down, no failover path)",
-        c.degraded.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_route_forwarded_total",
-        "Requests forwarded to shards",
-        c.forwarded.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_route_forward_errors_total",
-        "Forwards that failed at the transport layer",
-        c.forward_errors.load(Ordering::Relaxed),
-    )
-    .gauge("stsyn_fleet_shards", "Configured shards", shared.shards.len() as f64)
-    .gauge("stsyn_fleet_shards_up", "Shards currently up", up as f64)
-    .gauge("stsyn_fleet_shards_degraded", "Shards currently degraded", degraded as f64)
-    .gauge("stsyn_fleet_shards_down", "Shards currently down", down as f64)
-    .gauge(
-        "stsyn_route_uptime_seconds",
-        "Router uptime",
-        shared.started.elapsed().as_secs_f64(),
-    );
-
-    // Aggregate the reachable shards' own counters into fleet-wide sums.
-    let mut accepted = 0u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut queue_depth = 0u64;
-    let mut running = 0u64;
+    m.rows(ROUTER_ROWS, shared);
+    let summed: Vec<(&str, Names)> =
+        server::row_names().filter_map(|n| Some((n.fleet?, n))).collect();
+    let mut totals: Vec<Value> = summed
+        .iter()
+        .map(|(_, n)| match n.kind {
+            Kind::Histogram => Value::Hist(HistogramSnapshot::empty()),
+            _ => Value::Num(0.0),
+        })
+        .collect();
     let mut reachable = 0u64;
-    let mut store_hits = 0u64;
-    let mut store_partial = 0u64;
-    let mut store_misses = 0u64;
-    let mut store_evictions = 0u64;
-    let mut store_entries = 0u64;
-    let mut store_bytes = 0u64;
-    let mut fleet_queue_wait = HistogramSnapshot::empty();
-    let mut fleet_run = HistogramSnapshot::empty();
-    let mut fleet_submit_result = HistogramSnapshot::empty();
     for (i, s) in shared.shards.iter().enumerate() {
         if s.health() == ShardHealth::Down {
             continue;
         }
-        if let Ok(stats) = shard_request(shared, i, &Json::obj(vec![("op", "stats".into())])) {
-            let get = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
-            accepted += get("accepted");
-            completed += get("completed");
-            failed += get("failed");
-            queue_depth += get("queue_depth");
-            running += get("running");
-            store_hits += get("store_hits");
-            store_partial += get("store_partial_hits");
-            store_misses += get("store_misses");
-            store_evictions += get("store_evictions");
-            store_entries += get("store_entries");
-            store_bytes += get("store_bytes");
-            // Latency histograms sum bucket-wise across shards — the
-            // whole point of shipping buckets (not averages) on the wire.
-            if let Some(latency) = stats.get("latency") {
-                for (slot, key) in [
-                    (&mut fleet_queue_wait, "queue_wait"),
-                    (&mut fleet_run, "run"),
-                    (&mut fleet_submit_result, "submit_to_result"),
-                ] {
-                    if let Some(h) = latency.get(key).and_then(HistogramSnapshot::from_json) {
-                        slot.merge(&h);
-                    }
-                }
+        let Ok(stats) = shard_request(shared, i, &Json::obj(vec![("op", "stats".into())])) else {
+            continue;
+        };
+        for ((_, names), total) in summed.iter().zip(&mut totals) {
+            match (total, stats_value(&stats, names)) {
+                (Value::Num(t), Some(Value::Num(v))) => *t += v,
+                (Value::Hist(t), Some(Value::Hist(h))) => t.merge(&h),
+                _ => {}
             }
-            reachable += 1;
         }
+        reachable += 1;
     }
-    m.counter("stsyn_fleet_jobs_accepted_total", "Jobs accepted across reachable shards", accepted)
-        .counter(
-            "stsyn_fleet_jobs_completed_total",
-            "Jobs completed across reachable shards",
-            completed,
-        )
-        .counter("stsyn_fleet_jobs_failed_total", "Jobs failed across reachable shards", failed)
-        .counter(
-            "stsyn_fleet_store_hits_total",
-            "Store exact hits across reachable shards",
-            store_hits,
-        )
-        .counter(
-            "stsyn_fleet_store_partial_hits_total",
-            "Store warm-start seeds across reachable shards",
-            store_partial,
-        )
-        .counter(
-            "stsyn_fleet_store_misses_total",
-            "Store misses across reachable shards",
-            store_misses,
-        )
-        .counter(
-            "stsyn_fleet_store_evictions_total",
-            "Store evictions across reachable shards",
-            store_evictions,
-        )
-        .gauge("stsyn_fleet_queue_depth", "Queued jobs across reachable shards", queue_depth as f64)
-        .gauge("stsyn_fleet_running", "Running jobs across reachable shards", running as f64)
-        .gauge(
-            "stsyn_fleet_store_entries",
-            "Store entries across reachable shards",
-            store_entries as f64,
-        )
-        .gauge("stsyn_fleet_store_bytes", "Store bytes across reachable shards", store_bytes as f64)
-        .gauge(
-            "stsyn_fleet_shards_reporting",
-            "Shards that answered the stats scrape",
-            reachable as f64,
-        )
-        .histogram(
-            "stsyn_fleet_queue_wait_seconds",
-            "Queue wait (submit to first claim) across reachable shards",
-            &fleet_queue_wait,
-        )
-        .histogram(
-            "stsyn_fleet_run_seconds",
-            "Job run time (claim to finish) across reachable shards",
-            &fleet_run,
-        )
-        .histogram(
-            "stsyn_fleet_submit_to_result_seconds",
-            "End-to-end submit-to-result latency across reachable shards",
-            &fleet_submit_result,
-        );
+    for ((series, names), total) in summed.iter().zip(&totals) {
+        let help = format!("{} across reachable shards", names.help);
+        m.sample(series, names.kind, &help, total);
+    }
+    m.sample(
+        "stsyn_fleet_shards_reporting",
+        Kind::Gauge,
+        "Shards that answered the stats scrape",
+        &reachable.into(),
+    );
     Json::obj(vec![("ok", true.into()), ("metrics", m.render().into())])
 }
 

@@ -56,7 +56,9 @@
 
 use crate::json::Json;
 use crate::queue::{PriorityQueue, PushError};
-use crate::wire::{error_json, read_line_bounded, ChaosJob, SubmitSpec, MAX_REQUEST_BYTES};
+use crate::wire::{
+    error_json, read_line_bounded, serve_conn, write_line, ChaosJob, SubmitSpec, MAX_REQUEST_BYTES,
+};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -67,8 +69,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stsyn_core::job::{JobCheckpoint, JobError, JobMode};
 use stsyn_core::SynthesisError;
-use stsyn_obs::{LatencyHistogram, MetricsText, Progress, ProgressBus, Tracer};
-use stsyn_store::Store;
+use stsyn_obs::metrics::{json_pairs, Kind::*, Names, Row, Value, LATENCY_BUCKET_BOUNDS_US};
+use stsyn_obs::{HistogramSnapshot, LatencyHistogram, MetricsText, Progress, ProgressBus, Tracer};
+use stsyn_store::{Store, StoreStats};
 use stsyn_symbolic::Resource;
 
 /// File names inside a job directory.
@@ -161,49 +164,28 @@ pub enum ShutdownMode {
 }
 
 /// Service counters (per daemon instance; job *state* is persistent,
-/// counters are not).
+/// counters are not). Each field is a row of [`DAEMON_ROWS`] or
+/// [`STORE_ROWS`], whose help text says what it counts.
 #[derive(Debug, Default)]
-pub struct Counters {
-    /// Submissions admitted to the queue.
-    pub accepted: AtomicU64,
-    /// Submissions rejected by backpressure (`queue-full`).
-    pub rejected: AtomicU64,
-    /// Jobs finished successfully.
-    pub completed: AtomicU64,
-    /// Jobs that failed (synthesis, input or budget failure).
-    pub failed: AtomicU64,
-    /// Jobs cancelled by a client.
-    pub cancelled: AtomicU64,
-    /// In-flight jobs re-enqueued from a checkpoint journal at startup.
-    pub resumed: AtomicU64,
-    /// Job attempts that panicked (caught by the worker's fence).
-    pub crashed: AtomicU64,
-    /// Jobs moved to quarantine by this daemon instance.
-    pub quarantined: AtomicU64,
-    /// Connections rejected at the `max_conns` cap.
-    pub conn_rejected: AtomicU64,
-    /// Dead worker threads respawned by the supervisor.
-    pub worker_respawns: AtomicU64,
-    /// Submissions answered from the idempotency map (no new job).
-    pub dedup_hits: AtomicU64,
-    /// Largest per-job peak live BDD node count seen so far.
-    pub peak_nodes_max: AtomicU64,
-    /// Total milliseconds completed claims spent queued (wait time).
-    pub queue_wait_ms_total: AtomicU64,
-    /// Total milliseconds workers spent running jobs (busy time).
-    pub run_ms_total: AtomicU64,
-    /// Log-bucketed queue-wait distribution (claim time minus enqueue
-    /// time), one sample per claimed attempt.
-    pub queue_wait_hist: LatencyHistogram,
-    /// Log-bucketed run-time distribution, one sample per finished
-    /// attempt.
-    pub run_hist: LatencyHistogram,
-    /// Log-bucketed submit→result distribution: admission to terminal
-    /// state, across retries and resumes (store hits observe ~0).
-    pub submit_result_hist: LatencyHistogram,
-    /// Completed job directories removed by retention GC (their results
-    /// live on in the artifact store).
-    pub pruned: AtomicU64,
+pub(crate) struct Counters {
+    accepted: AtomicU64,
+    rejected: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    cancelled: AtomicU64,
+    resumed: AtomicU64,
+    crashed: AtomicU64,
+    quarantined: AtomicU64,
+    conn_rejected: AtomicU64,
+    worker_respawns: AtomicU64,
+    dedup_hits: AtomicU64,
+    peak_nodes_max: AtomicU64,
+    queue_wait_ms_total: AtomicU64,
+    run_ms_total: AtomicU64,
+    queue_wait_hist: LatencyHistogram,
+    run_hist: LatencyHistogram,
+    submit_result_hist: LatencyHistogram,
+    pruned: AtomicU64,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -923,18 +905,6 @@ fn execute_job(
     match job.run() {
         Ok(report) => {
             let s = &report.outcome.stats;
-            let stats = Json::obj(vec![
-                ("candidates", s.candidates.into()),
-                ("groups_added", s.groups_added.into()),
-                ("max_rank", s.max_rank.into()),
-                ("finished_in_pass", u64::from(s.finished_in_pass).into()),
-                ("ranking_secs", s.ranking_secs().into()),
-                ("scc_secs", s.scc_secs().into()),
-                ("total_secs", s.total_secs().into()),
-                ("program_nodes", s.program_nodes.into()),
-                ("peak_live_nodes", s.peak_live_nodes.into()),
-                ("bdd_ticks", s.bdd_ticks.into()),
-            ]);
             let result = Json::obj(vec![
                 ("ok", true.into()),
                 ("state", "done".into()),
@@ -945,7 +915,7 @@ fn execute_job(
                 ("schedule", report.outcome.schedule.to_string().as_str().into()),
                 ("recovery", report.outcome.describe_recovery().as_str().into()),
                 ("protocol", report.emitted_dsl.as_str().into()),
-                ("stats", stats),
+                ("stats", Json::obj(s.record())),
             ]);
             JobOutcome::Done { result, peak_nodes: s.peak_live_nodes as u64 }
         }
@@ -1173,65 +1143,19 @@ fn busy_response(stream: TcpStream, max_conns: usize) -> io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(1)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let _ = read_line_bounded(&mut reader, MAX_REQUEST_BYTES);
-    let mut writer = stream;
-    let resp =
-        err_response("busy", &format!("connection limit reached ({max_conns}); retry later"));
-    writer.write_all(resp.to_string().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    let resp = error_json("busy", &format!("connection limit reached ({max_conns}); retry later"));
+    write_line(&mut &stream, &resp.to_string())
 }
 
-/// One client connection: newline-delimited JSON requests in, one JSON
-/// response line per request out. Socket deadlines bound every read and
-/// write; a connection that idles or stalls past them is reaped.
+/// One client connection (see [`serve_conn`]); `watch` streams through
+/// [`op_watch_stream`].
 fn handle_conn(shared: &Shared, stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    if !shared.cfg.io_timeout.is_zero() {
-        stream.set_read_timeout(Some(shared.cfg.io_timeout))?;
-        stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let line = match read_line_bounded(&mut reader, MAX_REQUEST_BYTES) {
-            Ok(None) => return Ok(()), // client closed
-            Ok(Some(line)) => line,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                return Ok(()); // idle or stalled past the deadline: reap
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Oversized or non-UTF-8 frame: the framing is broken
-                // beyond recovery, but the error is still typed — answer
-                // once, then drop the connection.
-                let resp = err_response("bad-request", &e.to_string());
-                writer.write_all(resp.to_string().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match Json::parse(&line) {
-            // `watch` is the one streaming verb: it takes the connection
-            // over, writes many NDJSON frames (progress, heartbeats, a
-            // terminal status frame), then hands back to the request
-            // loop. Setup failures still answer with one error line.
-            Ok(req) if req.get("op").and_then(Json::as_str) == Some("watch") => {
-                match op_watch_stream(shared, &req, &mut writer)? {
-                    None => continue,
-                    Some(resp) => resp,
-                }
-            }
-            Ok(req) => dispatch(shared, &req),
-            Err(e) => err_response("bad-request", &format!("malformed request: {e}")),
-        };
-        writer.write_all(response.to_string().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
+    serve_conn(
+        stream,
+        shared.cfg.io_timeout,
+        |req, writer| op_watch_stream(shared, req, writer),
+        |req| dispatch(shared, req),
+    )
 }
 
 /// Interval between `watch` heartbeat frames: half the socket deadline,
@@ -1243,12 +1167,6 @@ fn heartbeat_interval(io_timeout: Duration) -> Duration {
     } else {
         (io_timeout / 2).max(Duration::from_millis(10))
     }
-}
-
-fn write_frame(writer: &mut TcpStream, frame: &str) -> io::Result<()> {
-    writer.write_all(frame.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// `watch` op: stream a job's progress frames over the connection.
@@ -1276,7 +1194,7 @@ fn op_watch_stream(
     let mut rx = {
         let jobs = lock_jobs(shared);
         match jobs.get(&id) {
-            None => return Ok(Some(err_response("unknown-job", &format!("no job {id}")))),
+            None => return Ok(Some(error_json("unknown-job", &format!("no job {id}")))),
             Some(e) => e.bus.subscribe(from_seq),
         }
     };
@@ -1284,13 +1202,13 @@ fn op_watch_stream(
     loop {
         match rx.next(heartbeat) {
             Progress::Event { seq, line } => {
-                write_frame(
+                write_line(
                     writer,
                     &format!("{{\"frame\":\"progress\",\"seq\":{seq},\"event\":{line}}}"),
                 )?;
             }
             Progress::Gap { missed } => {
-                write_frame(writer, &format!("{{\"frame\":\"gap\",\"missed\":{missed}}}"))?;
+                write_line(writer, &format!("{{\"frame\":\"gap\",\"missed\":{missed}}}"))?;
             }
             Progress::Idle => {
                 // Robustness: if some path made the job terminal without
@@ -1303,7 +1221,7 @@ fn op_watch_stream(
                             ("frame", "heartbeat".into()),
                             ("state", s.name().into()),
                         ]);
-                        write_frame(writer, &frame.to_string())?;
+                        write_line(writer, &frame.to_string())?;
                     }
                     _ => break,
                 }
@@ -1316,12 +1234,8 @@ fn op_watch_stream(
     if let Json::Obj(pairs) = &mut status {
         pairs.insert(0, ("frame".to_string(), "status".into()));
     }
-    write_frame(writer, &status.to_string())?;
+    write_line(writer, &status.to_string())?;
     Ok(None)
-}
-
-fn err_response(code: &str, message: &str) -> Json {
-    error_json(code, message)
 }
 
 fn dispatch(shared: &Shared, req: &Json) -> Json {
@@ -1336,8 +1250,8 @@ fn dispatch(shared: &Shared, req: &Json) -> Json {
         Some("store-stats") => op_store_stats(shared),
         Some("store-gc") => op_store_gc(shared, req),
         Some("shutdown") => op_shutdown(shared, req),
-        Some(other) => err_response("bad-request", &format!("unknown op `{other}`")),
-        None => err_response("bad-request", "request needs a string `op` field"),
+        Some(other) => error_json("bad-request", &format!("unknown op `{other}`")),
+        None => error_json("bad-request", "request needs a string `op` field"),
     }
 }
 
@@ -1356,19 +1270,19 @@ fn op_ping(shared: &Shared) -> Json {
 
 fn op_submit(shared: &Shared, req: &Json) -> Json {
     if shared.stop.load(Ordering::SeqCst) {
-        return err_response("shutting-down", "daemon is shutting down");
+        return error_json("shutting-down", "daemon is shutting down");
     }
     let Some(job_field) = req.get("job") else {
-        return err_response("bad-request", "submit needs a `job` object");
+        return error_json("bad-request", "submit needs a `job` object");
     };
     let spec = match SubmitSpec::from_json(job_field) {
         Ok(s) => s,
-        Err(m) => return err_response("bad-request", &m),
+        Err(m) => return error_json("bad-request", &m),
     };
     // Validate the workload up front so a client learns about a bad
     // protocol now, not from a failed job later.
     if let Err(m) = spec.materialize() {
-        return err_response("input-error", &m);
+        return error_json("input-error", &m);
     }
     match spec.idem {
         // Hold the idempotency lock across the whole admission so two
@@ -1408,7 +1322,7 @@ fn admit_job(shared: &Shared, spec: SubmitSpec) -> Json {
         .and_then(|()| write_json_atomic(&dir.join(SPEC_FILE), &spec.to_json()));
     if let Err(e) = persisted {
         let _ = std::fs::remove_dir_all(&dir);
-        return err_response("io-error", &format!("cannot persist job: {e}"));
+        return error_json("io-error", &format!("cannot persist job: {e}"));
     }
     let warm = seed_warm_start(shared, &spec, &dir);
     let priority = spec.priority;
@@ -1435,7 +1349,7 @@ fn admit_job(shared: &Shared, spec: SubmitSpec) -> Json {
             match kind {
                 PushError::Full => {
                     shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    err_response(
+                    error_json(
                         "queue-full",
                         &format!(
                             "queue is at capacity ({}); retry later",
@@ -1443,7 +1357,7 @@ fn admit_job(shared: &Shared, spec: SubmitSpec) -> Json {
                         ),
                     )
                 }
-                PushError::Closed => err_response("shutting-down", "daemon is shutting down"),
+                PushError::Closed => error_json("shutting-down", "daemon is shutting down"),
             }
         }
     }
@@ -1546,7 +1460,7 @@ fn seed_warm_start(shared: &Shared, spec: &SubmitSpec, dir: &Path) -> bool {
 fn req_id(req: &Json) -> Result<u64, Json> {
     req.get("id")
         .and_then(Json::as_u64)
-        .ok_or_else(|| err_response("bad-request", "request needs an integer `id`"))
+        .ok_or_else(|| error_json("bad-request", "request needs an integer `id`"))
 }
 
 fn op_status(shared: &Shared, req: &Json) -> Json {
@@ -1556,7 +1470,7 @@ fn op_status(shared: &Shared, req: &Json) -> Json {
     };
     let jobs = lock_jobs(shared);
     match jobs.get(&id) {
-        None => err_response("unknown-job", &format!("no job {id}")),
+        None => error_json("unknown-job", &format!("no job {id}")),
         Some(e) => {
             let mut pairs: Vec<(&str, Json)> = vec![
                 ("ok", true.into()),
@@ -1582,19 +1496,19 @@ fn op_result(shared: &Shared, req: &Json) -> Json {
     };
     let jobs = lock_jobs(shared);
     match jobs.get(&id) {
-        None => err_response("unknown-job", &format!("no job {id}")),
+        None => error_json("unknown-job", &format!("no job {id}")),
         Some(e) => match (&e.state, &e.result) {
             (JobState::Done | JobState::Failed, Some(r)) => r.clone(),
-            (JobState::Cancelled, _) => err_response("cancelled", "job was cancelled"),
-            (JobState::Quarantined, _) => err_response(
+            (JobState::Cancelled, _) => error_json("cancelled", "job was cancelled"),
+            (JobState::Quarantined, _) => error_json(
                 "quarantined",
                 "job crashed its worker too many times and was quarantined",
             ),
             (JobState::Interrupted, _) => {
-                err_response("interrupted", "job was checkpointed by a shutdown; resubmit-free resume happens on the next daemon start")
+                error_json("interrupted", "job was checkpointed by a shutdown; resubmit-free resume happens on the next daemon start")
             }
             (state, _) => {
-                let mut resp = err_response("not-finished", "job has not finished");
+                let mut resp = error_json("not-finished", "job has not finished");
                 if let Json::Obj(pairs) = &mut resp {
                     pairs.push(("state".into(), state.name().into()));
                 }
@@ -1611,7 +1525,7 @@ fn op_cancel(shared: &Shared, req: &Json) -> Json {
     };
     let mut jobs = lock_jobs(shared);
     match jobs.get_mut(&id) {
-        None => err_response("unknown-job", &format!("no job {id}")),
+        None => error_json("unknown-job", &format!("no job {id}")),
         Some(e) => {
             match e.state {
                 JobState::Queued => {
@@ -1652,243 +1566,204 @@ fn quarantined_now(shared: &Shared) -> usize {
     lock_jobs(shared).values().filter(|e| e.state == JobState::Quarantined).count()
 }
 
-fn op_stats(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let busy = shared.busy.load(Ordering::SeqCst);
-    let workers = shared.cfg.workers.max(1);
-    let mut pairs = Json::obj(vec![
-        ("ok", true.into()),
-        ("accepted", c.accepted.load(Ordering::Relaxed).into()),
-        ("rejected", c.rejected.load(Ordering::Relaxed).into()),
-        ("completed", c.completed.load(Ordering::Relaxed).into()),
-        ("failed", c.failed.load(Ordering::Relaxed).into()),
-        ("cancelled", c.cancelled.load(Ordering::Relaxed).into()),
-        ("resumed", c.resumed.load(Ordering::Relaxed).into()),
-        ("crashed", c.crashed.load(Ordering::Relaxed).into()),
-        ("quarantined", quarantined_now(shared).into()),
-        ("dedup_hits", c.dedup_hits.load(Ordering::Relaxed).into()),
-        ("conn_rejected", c.conn_rejected.load(Ordering::Relaxed).into()),
-        ("worker_respawns", c.worker_respawns.load(Ordering::Relaxed).into()),
-        ("conns", shared.conns.load(Ordering::SeqCst).into()),
-        ("queue_depth", shared.queue.len().into()),
-        ("running", busy.into()),
-        ("workers", workers.into()),
-        ("live_workers", shared.live_workers.load(Ordering::SeqCst).into()),
-        ("utilization", (busy as f64 / workers as f64).into()),
-        ("peak_nodes_max", c.peak_nodes_max.load(Ordering::Relaxed).into()),
-        ("queue_wait_ms_total", c.queue_wait_ms_total.load(Ordering::Relaxed).into()),
-        ("run_ms_total", c.run_ms_total.load(Ordering::Relaxed).into()),
-        ("latency", latency_json(c)),
-        ("uptime_secs", shared.started.elapsed().as_secs_f64().into()),
-    ]);
-    if let (Json::Obj(obj), Some(store)) = (&mut pairs, &shared.store) {
-        let s = store.stats();
-        obj.push(("store_enabled".into(), true.into()));
-        obj.push(("store_entries".into(), s.entries.into()));
-        obj.push(("store_bytes".into(), s.bytes.into()));
-        obj.push(("store_cap_bytes".into(), s.cap_bytes.into()));
-        obj.push(("store_hits".into(), s.hits.into()));
-        obj.push(("store_partial_hits".into(), s.partial_hits.into()));
-        obj.push(("store_misses".into(), s.misses.into()));
-        obj.push(("store_evictions".into(), s.evictions.into()));
-        obj.push(("store_corrupt_dropped".into(), s.corrupt_dropped.into()));
-        obj.push(("store_publishes".into(), s.publishes.into()));
-        obj.push(("jobs_pruned".into(), c.pruned.load(Ordering::Relaxed).into()));
+/// A counter's reading, for a table getter.
+pub(crate) fn load(counter: &AtomicU64) -> Value {
+    counter.load(Ordering::Relaxed).into()
+}
+
+/// Busy workers over pool size.
+fn utilization(s: &Shared) -> Value {
+    (s.busy.load(Ordering::SeqCst) as f64 / s.cfg.workers.max(1) as f64).into()
+}
+
+type DaemonRow = Row<Shared>;
+type StoreRow = Row<StoreView>;
+
+/// Every daemon counter, gauge and latency histogram, in `stats` key
+/// order: the single source of `stats`, `metrics` and the router's fleet
+/// sums. Histogram rows sit in the `latency` object of `stats`.
+#[rustfmt::skip]
+static DAEMON_ROWS: &[DaemonRow] = &[
+    DaemonRow::new(Counter, Some("accepted"), Some("stsyn_jobs_accepted_total"), "Submissions admitted to the queue",
+                   |s| load(&s.counters.accepted)).fleet("stsyn_fleet_jobs_accepted_total"),
+    DaemonRow::new(Counter, Some("rejected"), Some("stsyn_jobs_rejected_total"), "Submissions rejected by backpressure",
+                   |s| load(&s.counters.rejected)),
+    DaemonRow::new(Counter, Some("completed"), Some("stsyn_jobs_completed_total"), "Jobs finished successfully",
+                   |s| load(&s.counters.completed)).fleet("stsyn_fleet_jobs_completed_total"),
+    DaemonRow::new(Counter, Some("failed"), Some("stsyn_jobs_failed_total"), "Jobs that failed (synthesis, input or budget failure)",
+                   |s| load(&s.counters.failed)).fleet("stsyn_fleet_jobs_failed_total"),
+    DaemonRow::new(Counter, Some("cancelled"), Some("stsyn_jobs_cancelled_total"), "Jobs cancelled by a client",
+                   |s| load(&s.counters.cancelled)),
+    DaemonRow::new(Counter, Some("resumed"), Some("stsyn_jobs_resumed_total"), "In-flight jobs re-enqueued from a checkpoint journal at startup",
+                   |s| load(&s.counters.resumed)),
+    DaemonRow::new(Counter, Some("crashed"), Some("stsyn_jobs_crashed_total"), "Job attempts that panicked or killed their worker",
+                   |s| load(&s.counters.crashed)),
+    DaemonRow::new(Gauge, Some("quarantined"), Some("stsyn_quarantined_jobs"), "Jobs currently parked in quarantine",
+                   |s| quarantined_now(s).into()),
+    DaemonRow::new(Counter, None, Some("stsyn_jobs_quarantined_total"), "Jobs moved to quarantine by this daemon",
+                   |s| load(&s.counters.quarantined)),
+    DaemonRow::new(Counter, Some("dedup_hits"), Some("stsyn_submit_dedup_total"), "Submissions answered from the idempotency map",
+                   |s| load(&s.counters.dedup_hits)),
+    DaemonRow::new(Counter, Some("conn_rejected"), Some("stsyn_conns_rejected_total"), "Connections rejected at the connection cap",
+                   |s| load(&s.counters.conn_rejected)),
+    DaemonRow::new(Counter, Some("worker_respawns"), Some("stsyn_worker_respawns_total"), "Dead worker threads respawned by the supervisor",
+                   |s| load(&s.counters.worker_respawns)),
+    DaemonRow::new(Gauge, Some("conns"), Some("stsyn_conns_open"), "Open client connections",
+                   |s| s.conns.load(Ordering::SeqCst).into()),
+    DaemonRow::new(Gauge, Some("queue_depth"), Some("stsyn_queue_depth"), "Jobs currently queued",
+                   |s| s.queue.len().into()).fleet("stsyn_fleet_queue_depth"),
+    DaemonRow::new(Gauge, Some("running"), Some("stsyn_workers_busy"), "Workers currently running a job",
+                   |s| s.busy.load(Ordering::SeqCst).into()).fleet("stsyn_fleet_running"),
+    DaemonRow::new(Gauge, Some("workers"), Some("stsyn_workers"), "Worker pool size",
+                   |s| s.cfg.workers.max(1).into()),
+    DaemonRow::new(Gauge, Some("live_workers"), Some("stsyn_workers_live"), "Worker threads currently alive",
+                   |s| s.live_workers.load(Ordering::SeqCst).into()),
+    DaemonRow::new(Gauge, Some("utilization"), Some("stsyn_worker_utilization"), "Busy workers over pool size",
+                   utilization),
+    DaemonRow::new(Gauge, Some("peak_nodes_max"), Some("stsyn_peak_nodes_max"), "Largest per-job peak live BDD node count",
+                   |s| load(&s.counters.peak_nodes_max)),
+    DaemonRow::new(Counter, Some("queue_wait_ms_total"), Some("stsyn_queue_wait_ms_total"), "Milliseconds claimed jobs spent queued",
+                   |s| load(&s.counters.queue_wait_ms_total)),
+    DaemonRow::new(Counter, Some("run_ms_total"), Some("stsyn_run_ms_total"), "Milliseconds workers spent running jobs",
+                   |s| load(&s.counters.run_ms_total)),
+    DaemonRow::new(Histogram, Some("queue_wait"), Some("stsyn_queue_wait_seconds"), "Queue wait (enqueue to claim) of each claimed attempt",
+                   |s| s.counters.queue_wait_hist.snapshot().into()).fleet("stsyn_fleet_queue_wait_seconds"),
+    DaemonRow::new(Histogram, Some("run"), Some("stsyn_run_seconds"), "Run-time distribution of finished job attempts",
+                   |s| s.counters.run_hist.snapshot().into()).fleet("stsyn_fleet_run_seconds"),
+    DaemonRow::new(Histogram, Some("submit_to_result"), Some("stsyn_submit_to_result_seconds"), "Submission to terminal state, across retries and resumes",
+                   |s| s.counters.submit_result_hist.snapshot().into()).fleet("stsyn_fleet_submit_to_result_seconds"),
+    DaemonRow::new(Gauge, Some("uptime_secs"), Some("stsyn_uptime_seconds"), "Daemon uptime",
+                   |s| s.started.elapsed().as_secs_f64().into()),
+];
+
+/// What the store rows read: one snapshot of the artifact store, and the
+/// job directories retention GC removed.
+struct StoreView {
+    store: StoreStats,
+    pruned: u64,
+}
+
+fn store_view(shared: &Shared) -> Option<StoreView> {
+    let store = shared.store.as_ref()?.stats();
+    Some(StoreView { store, pruned: shared.counters.pruned.load(Ordering::Relaxed) })
+}
+
+/// Every artifact-store row, in key order. `stats` publishes them under
+/// these keys, `store-stats` without the `store_` prefix (see
+/// [`store_stats_key`]).
+#[rustfmt::skip]
+static STORE_ROWS: &[StoreRow] = &[
+    StoreRow::new(Gauge, Some("store_entries"), Some("stsyn_store_entries"), "Live artifact store entries",
+                  |v| v.store.entries.into()).fleet("stsyn_fleet_store_entries"),
+    StoreRow::new(Gauge, Some("store_bytes"), Some("stsyn_store_bytes"), "Artifact store footprint in bytes",
+                  |v| v.store.bytes.into()).fleet("stsyn_fleet_store_bytes"),
+    StoreRow::new(Gauge, Some("store_cap_bytes"), Some("stsyn_store_cap_bytes"), "Configured store byte cap (0 = unbounded)",
+                  |v| v.store.cap_bytes.into()),
+    StoreRow::new(Counter, Some("store_hits"), Some("stsyn_store_hits_total"), "Submissions answered from the artifact store",
+                  |v| v.store.hits.into()).fleet("stsyn_fleet_store_hits_total"),
+    StoreRow::new(Counter, Some("store_partial_hits"), Some("stsyn_store_partial_hits_total"), "Jobs warm-started from a stored checkpoint prefix",
+                  |v| v.store.partial_hits.into()).fleet("stsyn_fleet_store_partial_hits_total"),
+    StoreRow::new(Counter, Some("store_misses"), Some("stsyn_store_misses_total"), "Store lookups that found nothing",
+                  |v| v.store.misses.into()).fleet("stsyn_fleet_store_misses_total"),
+    StoreRow::new(Counter, Some("store_evictions"), Some("stsyn_store_evictions_total"), "Store entries evicted (LRU/GC)",
+                  |v| v.store.evictions.into()).fleet("stsyn_fleet_store_evictions_total"),
+    StoreRow::new(Counter, Some("store_corrupt_dropped"), Some("stsyn_store_corrupt_dropped_total"), "Store entries dropped after failing CRC verification",
+                  |v| v.store.corrupt_dropped.into()),
+    StoreRow::new(Counter, Some("store_publishes"), Some("stsyn_store_publishes_total"), "Artifacts published to the store",
+                  |v| v.store.publishes.into()),
+    StoreRow::new(Counter, Some("jobs_pruned"), Some("stsyn_jobs_pruned_total"), "Completed job directories removed by retention GC",
+                  |v| v.pruned.into()),
+];
+
+/// The key a store row has in `store-stats`.
+pub(crate) fn store_stats_key(names: &Names) -> Option<&'static str> {
+    names.key.map(|k| k.strip_prefix("store_").unwrap_or(k))
+}
+
+/// The names of every daemon row, in `stats` order: the job rows, then
+/// the store rows.
+pub fn row_names() -> impl Iterator<Item = Names> {
+    DAEMON_ROWS.iter().map(|r| r.names).chain(store_row_names())
+}
+
+/// The names of every store row, in `store-stats` order.
+pub(crate) fn store_row_names() -> impl Iterator<Item = Names> {
+    STORE_ROWS.iter().map(|r| r.names)
+}
+
+/// A store row's value in a `store-stats` answer, or a daemon row's
+/// value in a `stats` answer (histograms sit in its `latency` object).
+pub(crate) fn stats_value(stats: &Json, names: &Names) -> Option<Value> {
+    let key = names.key?;
+    if names.kind == Histogram {
+        let h = stats.get("latency")?.get(key)?;
+        HistogramSnapshot::from_json(h).map(Value::Hist)
+    } else {
+        stats.get(key).and_then(Json::as_f64).map(Value::Num)
     }
-    pairs
 }
 
-/// The `latency` block of `stats`: raw (non-cumulative) bucket arrays
-/// plus sum/count for each distribution, in the fixed
-/// [`stsyn_obs::metrics::LATENCY_BUCKET_BOUNDS_US`] layout — what the
-/// router sums element-wise into the `stsyn_fleet_*` histograms.
-fn latency_json(c: &Counters) -> Json {
-    Json::obj(vec![
-        (
-            "bounds_us",
-            Json::Arr(
-                stsyn_obs::metrics::LATENCY_BUCKET_BOUNDS_US
-                    .iter()
-                    .map(|&b| Json::from(b))
-                    .collect(),
-            ),
-        ),
-        ("queue_wait", c.queue_wait_hist.snapshot().to_json()),
-        ("run", c.run_hist.snapshot().to_json()),
-        ("submit_to_result", c.submit_result_hist.snapshot().to_json()),
-    ])
+/// `stats` op: every keyed row of [`DAEMON_ROWS`] (histograms grouped
+/// under `latency`, with their bucket bounds), then the store rows.
+fn op_stats(shared: &Shared) -> Json {
+    let bounds = LATENCY_BUCKET_BOUNDS_US.iter().map(|&b| Json::from(b)).collect();
+    let mut latency = vec![("bounds_us", Json::Arr(bounds))];
+    let mut latency_at = None;
+    let mut pairs = vec![("ok", Json::from(true))];
+    for row in DAEMON_ROWS {
+        let Some(key) = row.names.key else { continue };
+        match (row.get)(shared) {
+            Value::Hist(h) => {
+                latency_at.get_or_insert(pairs.len());
+                latency.push((key, h.to_json()));
+            }
+            v => pairs.push((key, v.to_json())),
+        }
+    }
+    if let Some(at) = latency_at {
+        pairs.insert(at, ("latency", Json::obj(latency)));
+    }
+    if let Some(view) = store_view(shared) {
+        pairs.push(("store_enabled", true.into()));
+        pairs.extend(json_pairs(STORE_ROWS, &view));
+    }
+    Json::obj(pairs)
 }
 
-/// `metrics` op: the same counters and gauges as `stats`, rendered as
-/// Prometheus text-format exposition (returned in the `metrics` field so
-/// the response stays one JSON line on the wire).
+/// `metrics` op: the same rows as `stats`, rendered as Prometheus text
+/// (returned in the `metrics` field so the response stays one JSON line
+/// on the wire).
 fn op_metrics(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let busy = shared.busy.load(Ordering::SeqCst);
-    let workers = shared.cfg.workers.max(1);
     let mut m = MetricsText::new();
-    m.counter(
-        "stsyn_jobs_accepted_total",
-        "Submissions admitted to the queue",
-        c.accepted.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_jobs_rejected_total",
-        "Submissions rejected by backpressure",
-        c.rejected.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_jobs_completed_total",
-        "Jobs finished successfully",
-        c.completed.load(Ordering::Relaxed),
-    )
-    .counter("stsyn_jobs_failed_total", "Jobs that failed", c.failed.load(Ordering::Relaxed))
-    .counter(
-        "stsyn_jobs_cancelled_total",
-        "Jobs cancelled by a client",
-        c.cancelled.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_jobs_resumed_total",
-        "Jobs re-enqueued from a checkpoint journal",
-        c.resumed.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_jobs_crashed_total",
-        "Job attempts that panicked or killed their worker",
-        c.crashed.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_jobs_quarantined_total",
-        "Jobs moved to quarantine by this daemon",
-        c.quarantined.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_conns_rejected_total",
-        "Connections rejected at the connection cap",
-        c.conn_rejected.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_worker_respawns_total",
-        "Dead worker threads respawned by the supervisor",
-        c.worker_respawns.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_submit_dedup_total",
-        "Submissions answered from the idempotency map",
-        c.dedup_hits.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_queue_wait_ms_total",
-        "Milliseconds claimed jobs spent queued",
-        c.queue_wait_ms_total.load(Ordering::Relaxed),
-    )
-    .counter(
-        "stsyn_run_ms_total",
-        "Milliseconds workers spent running jobs",
-        c.run_ms_total.load(Ordering::Relaxed),
-    )
-    .gauge("stsyn_queue_depth", "Jobs currently queued", shared.queue.len() as f64)
-    .gauge(
-        "stsyn_quarantined_jobs",
-        "Jobs currently parked in quarantine",
-        quarantined_now(shared) as f64,
-    )
-    .gauge(
-        "stsyn_conns_open",
-        "Open client connections",
-        shared.conns.load(Ordering::SeqCst) as f64,
-    )
-    .gauge("stsyn_workers_busy", "Workers currently running a job", busy as f64)
-    .gauge("stsyn_workers", "Worker pool size", workers as f64)
-    .gauge(
-        "stsyn_workers_live",
-        "Worker threads currently alive",
-        shared.live_workers.load(Ordering::SeqCst) as f64,
-    )
-    .gauge("stsyn_worker_utilization", "Busy workers over pool size", busy as f64 / workers as f64)
-    .histogram(
-        "stsyn_queue_wait_seconds",
-        "Queue-wait latency distribution of claimed jobs",
-        &c.queue_wait_hist.snapshot(),
-    )
-    .histogram(
-        "stsyn_run_seconds",
-        "Run-time distribution of finished job attempts",
-        &c.run_hist.snapshot(),
-    )
-    .histogram(
-        "stsyn_submit_to_result_seconds",
-        "Submission-to-terminal-state latency distribution",
-        &c.submit_result_hist.snapshot(),
-    )
-    .gauge(
-        "stsyn_peak_nodes_max",
-        "Largest per-job peak live BDD node count",
-        c.peak_nodes_max.load(Ordering::Relaxed) as f64,
-    )
-    .gauge("stsyn_uptime_seconds", "Daemon uptime", shared.started.elapsed().as_secs_f64());
-    if let Some(store) = &shared.store {
-        let s = store.stats();
-        m.counter("stsyn_store_hits_total", "Submissions answered from the artifact store", s.hits)
-            .counter(
-                "stsyn_store_partial_hits_total",
-                "Jobs warm-started from a stored checkpoint prefix",
-                s.partial_hits,
-            )
-            .counter("stsyn_store_misses_total", "Store lookups that found nothing", s.misses)
-            .counter("stsyn_store_evictions_total", "Store entries evicted (LRU/GC)", s.evictions)
-            .counter(
-                "stsyn_store_corrupt_dropped_total",
-                "Store entries dropped after failing CRC verification",
-                s.corrupt_dropped,
-            )
-            .counter("stsyn_store_publishes_total", "Artifacts published to the store", s.publishes)
-            .counter(
-                "stsyn_jobs_pruned_total",
-                "Completed job directories removed by retention GC",
-                shared.counters.pruned.load(Ordering::Relaxed),
-            )
-            .gauge("stsyn_store_entries", "Live artifact store entries", s.entries as f64)
-            .gauge("stsyn_store_bytes", "Artifact store footprint in bytes", s.bytes as f64)
-            .gauge(
-                "stsyn_store_cap_bytes",
-                "Configured store byte cap (0 = unbounded)",
-                s.cap_bytes as f64,
-            );
+    m.rows(DAEMON_ROWS, shared);
+    if let Some(view) = store_view(shared) {
+        m.rows(STORE_ROWS, &view);
     }
     Json::obj(vec![("ok", true.into()), ("metrics", m.render().into())])
 }
 
-/// `store-stats` op: the artifact store's counters and footprint.
+/// `store-stats` op: the artifact store's rows.
 fn op_store_stats(shared: &Shared) -> Json {
-    let Some(store) = &shared.store else {
-        return err_response(
+    let Some(view) = store_view(shared) else {
+        return error_json(
             "store-disabled",
             "no artifact store configured (start with --store-dir)",
         );
     };
-    let s = store.stats();
-    Json::obj(vec![
-        ("ok", true.into()),
-        ("entries", s.entries.into()),
-        ("bytes", s.bytes.into()),
-        ("cap_bytes", s.cap_bytes.into()),
-        ("hits", s.hits.into()),
-        ("partial_hits", s.partial_hits.into()),
-        ("misses", s.misses.into()),
-        ("evictions", s.evictions.into()),
-        ("corrupt_dropped", s.corrupt_dropped.into()),
-        ("publishes", s.publishes.into()),
-        ("jobs_pruned", shared.counters.pruned.load(Ordering::Relaxed).into()),
-    ])
+    let mut pairs = vec![("ok", Json::from(true))];
+    for row in STORE_ROWS {
+        if let Some(key) = store_stats_key(&row.names) {
+            pairs.push((key, (row.get)(&view).to_json()));
+        }
+    }
+    Json::obj(pairs)
 }
 
 /// `store-gc` op: evict LRU entries down to the configured cap, or to
 /// an explicit `cap_bytes` override carried in the request.
 fn op_store_gc(shared: &Shared, req: &Json) -> Json {
     let Some(store) = &shared.store else {
-        return err_response(
+        return error_json(
             "store-disabled",
             "no artifact store configured (start with --store-dir)",
         );
@@ -1907,7 +1782,7 @@ fn op_store_gc(shared: &Shared, req: &Json) -> Json {
                 ("bytes", rep.bytes.into()),
             ])
         }
-        Err(e) => err_response("io-error", &format!("store gc failed: {e}")),
+        Err(e) => error_json("io-error", &format!("store gc failed: {e}")),
     }
 }
 
@@ -1916,7 +1791,7 @@ fn op_shutdown(shared: &Shared, req: &Json) -> Json {
         None | Some("drain") => ShutdownMode::Drain,
         Some("checkpoint") => ShutdownMode::Checkpoint,
         Some(other) => {
-            return err_response("bad-request", &format!("unknown shutdown mode `{other}`"))
+            return error_json("bad-request", &format!("unknown shutdown mode `{other}`"))
         }
     };
     shared.begin_shutdown(mode);

@@ -11,7 +11,9 @@
 //! never shells out to the CLI).
 
 use crate::json::Json;
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 use stsyn_core::job::{JobMode, JobSpec};
 use stsyn_symbolic::Budget;
 
@@ -42,6 +44,67 @@ pub fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> io::Result<Op
     String::from_utf8(buf)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request is not UTF-8"))
+}
+
+/// Serve one client connection: newline-delimited JSON requests in, one
+/// JSON response line per request out — the loop the daemon and the
+/// router share.
+///
+/// `io_timeout` (zero = none) bounds every read and write; a connection
+/// that idles or stalls past it is reaped. An oversized or non-UTF-8
+/// frame breaks the framing beyond recovery, but is still answered once
+/// with a typed `bad-request` before the connection drops. `watch` is
+/// the one streaming verb: `watch` takes the connection over, writes its
+/// frames, and returns `Ok(None)` to hand back to the loop, or
+/// `Ok(Some(resp))` to answer with one line instead. Every other request
+/// is answered by `dispatch`.
+pub(crate) fn serve_conn(
+    stream: TcpStream,
+    io_timeout: Duration,
+    watch: impl Fn(&Json, &mut TcpStream) -> io::Result<Option<Json>>,
+    dispatch: impl Fn(&Json) -> Json,
+) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    if !io_timeout.is_zero() {
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+    }
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    loop {
+        let (response, last) = match read_line_bounded(&mut reader, MAX_REQUEST_BYTES) {
+            Ok(None) => return Ok(()), // client closed
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                return Ok(()); // idle or stalled past the deadline: reap
+            }
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                (error_json("bad-request", &e.to_string()), true)
+            }
+            Err(e) => return Err(e),
+            Ok(Some(line)) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => match Json::parse(&line) {
+                Ok(req) if req.get("op").and_then(Json::as_str) == Some("watch") => {
+                    match watch(&req, &mut writer)? {
+                        None => continue,
+                        Some(resp) => (resp, false),
+                    }
+                }
+                Ok(req) => (dispatch(&req), false),
+                Err(e) => (error_json("bad-request", &format!("malformed request: {e}")), false),
+            },
+        };
+        write_line(&mut writer, &response.to_string())?;
+        if last {
+            return Ok(());
+        }
+    }
+}
+
+/// Write one newline-terminated frame and flush it.
+pub(crate) fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// Fold a 64-bit hash into the 53 bits an f64-backed JSON number

@@ -179,16 +179,14 @@ fn router_proxies_verbs_with_router_identities() {
         );
     }
 
-    // Server-side wait: one blocking verb instead of client polling.
-    let resp = client
-        .request(&Json::obj(vec![
-            ("op", "wait".into()),
-            ("id", ids[0].into()),
-            ("timeout_secs", 60u64.into()),
-        ]))
-        .unwrap();
+    // Wait via the router (a `watch` stream) returns the done result.
+    let resp = client.wait(ids[0], Duration::from_secs(60)).unwrap();
     assert_eq!(resp.get("state").and_then(Json::as_str), Some("done"));
     assert_eq!(resp.get("id").and_then(Json::as_u64), Some(ids[0]));
+    // The router has no server-side `wait` verb.
+    let err =
+        client.request(&Json::obj(vec![("op", "wait".into()), ("id", ids[0].into())])).unwrap_err();
+    assert_eq!(err.code(), Some("bad-request"));
 
     // Unknown ids answer typed, not hang.
     let err = client.status(999_999).unwrap_err();

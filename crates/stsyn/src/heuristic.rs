@@ -873,35 +873,14 @@ pub(crate) fn synthesize_checkpointed(
         stats: engine.stats,
         schedule,
     };
+    let m = outcome.ctx.mgr_ref().stats();
     outcome.stats.bdd_ticks = outcome.ctx.mgr_ref().ticks_used();
+    outcome.stats.gc_runs = m.gc_runs;
+    outcome.stats.cache_lookups = m.cache_lookups;
+    outcome.stats.cache_hits = m.cache_hits;
     outcome.stats.total_time = start.elapsed();
     if tracer.level_enabled(TraceLevel::Info) {
-        let s = &outcome.stats;
-        let m = outcome.ctx.mgr_ref().stats();
-        tracer.info(
-            "synthesis.stats",
-            &[
-                ("max_rank", Json::from(s.max_rank as u64)),
-                ("candidates", Json::from(s.candidates as u64)),
-                ("groups_added", Json::from(s.groups_added as u64)),
-                ("finished_in_pass", Json::from(s.finished_in_pass as u64)),
-                ("scc_calls", Json::from(s.scc_calls as u64)),
-                ("sccs_found", Json::from(s.sccs_found as u64)),
-                ("scc_nodes_total", Json::from(s.scc_nodes_total as u64)),
-                ("program_nodes", Json::from(s.program_nodes as u64)),
-                ("peak_live_nodes", Json::from(s.peak_live_nodes as u64)),
-                ("bdd_ticks", Json::from(s.bdd_ticks)),
-                ("ranking_secs", Json::Num(s.ranking_secs())),
-                ("scc_secs", Json::Num(s.scc_secs())),
-                ("total_secs", Json::Num(s.total_secs())),
-                ("scan_secs", Json::Num(s.scan_time.as_secs_f64())),
-                ("deadlock_secs", Json::Num(s.deadlock_time.as_secs_f64())),
-                ("include_secs", Json::Num(s.include_time.as_secs_f64())),
-                ("gc_runs", Json::from(m.gc_runs as u64)),
-                ("cache_lookups", Json::from(m.cache_lookups)),
-                ("cache_hits", Json::from(m.cache_hits)),
-            ],
-        );
+        tracer.info("synthesis.stats", &outcome.stats.record());
     }
     // Hand the context back unbudgeted: follow-up queries on the outcome
     // (extraction, re-verification) must not trip a stale budget.

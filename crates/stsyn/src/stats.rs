@@ -1,106 +1,6 @@
 //! Synthesis statistics — the quantities the paper's evaluation plots.
 //!
-//! Figures 6/8/10 plot *ranking time*, *SCC-detection time* and *total
-//! execution time*; Figures 7/9/11 plot *average SCC size* and *total
-//! program size*, both measured in **BDD nodes** (the paper argues node
-//! counts are the platform-independent space metric). This module
-//! accumulates exactly those series during a synthesis run.
+//! The struct and its table live in `stsyn-obs`, so the trace summarizer
+//! renders a recorded run exactly as the CLI renders a live one.
 
-use std::time::Duration;
-
-/// Counters filled in by one synthesis run.
-#[derive(Debug, Clone, Default)]
-pub struct SynthesisStats {
-    /// Wall time spent in `ComputeRanks` (the §IV approximation).
-    pub ranking_time: Duration,
-    /// Wall time spent inside symbolic SCC detection
-    /// (`Identify_Resolve_Cycles`), summed over all invocations.
-    pub scc_time: Duration,
-    /// Total wall time of the synthesis call.
-    pub total_time: Duration,
-    /// Number of `Identify_Resolve_Cycles` invocations.
-    pub scc_calls: usize,
-    /// Number of (non-trivial) SCCs detected across all invocations.
-    pub sccs_found: usize,
-    /// Sum of the BDD node counts of every detected SCC (for the
-    /// average-SCC-size series; 0 when none were found).
-    pub scc_nodes_total: usize,
-    /// BDD node count of the final `p_ss` transition relation — the
-    /// "total program size" series.
-    pub program_nodes: usize,
-    /// Peak live BDD nodes in the manager over the run.
-    pub peak_live_nodes: usize,
-    /// Number of ranks `M` computed by `ComputeRanks`.
-    pub max_rank: usize,
-    /// Number of recovery groups included in `p_ss`.
-    pub groups_added: usize,
-    /// Number of candidate groups considered.
-    pub candidates: usize,
-    /// Which pass resolved the last deadlock (1–3); 0 when no recovery was
-    /// needed at all.
-    pub finished_in_pass: u8,
-    /// Diagnostic: time scanning candidates (guard/From/To tests).
-    pub scan_time: Duration,
-    /// Diagnostic: time recomputing deadlock predicates.
-    pub deadlock_time: Duration,
-    /// Diagnostic: time folding accepted groups into `p_ss`.
-    pub include_time: Duration,
-    /// Budget ticks consumed by the run's BDD operations — a deterministic,
-    /// platform-independent work metric (also the coordinate system for the
-    /// fault-injection harness).
-    pub bdd_ticks: u64,
-}
-
-impl SynthesisStats {
-    /// Average SCC size in BDD nodes (the Fig. 7/9/11 series), or 0.0 when
-    /// no SCC was ever detected (e.g. the locally-correctable coloring
-    /// protocol).
-    pub fn avg_scc_nodes(&self) -> f64 {
-        if self.sccs_found == 0 {
-            0.0
-        } else {
-            self.scc_nodes_total as f64 / self.sccs_found as f64
-        }
-    }
-
-    /// Seconds spent ranking (convenience for the bench harness).
-    pub fn ranking_secs(&self) -> f64 {
-        self.ranking_time.as_secs_f64()
-    }
-
-    /// Seconds spent in SCC detection.
-    pub fn scc_secs(&self) -> f64 {
-        self.scc_time.as_secs_f64()
-    }
-
-    /// Total seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_time.as_secs_f64()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn avg_scc_nodes_handles_zero() {
-        let s = SynthesisStats::default();
-        assert_eq!(s.avg_scc_nodes(), 0.0);
-        let s2 = SynthesisStats { sccs_found: 4, scc_nodes_total: 100, ..Default::default() };
-        assert_eq!(s2.avg_scc_nodes(), 25.0);
-    }
-
-    #[test]
-    fn second_conversions() {
-        let s = SynthesisStats {
-            ranking_time: Duration::from_millis(250),
-            scc_time: Duration::from_millis(500),
-            total_time: Duration::from_secs(1),
-            ..Default::default()
-        };
-        assert!((s.ranking_secs() - 0.25).abs() < 1e-9);
-        assert!((s.scc_secs() - 0.5).abs() < 1e-9);
-        assert!((s.total_secs() - 1.0).abs() < 1e-9);
-    }
-}
+pub use stsyn_obs::stats::{SynthesisStats, STATS};

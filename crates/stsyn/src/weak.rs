@@ -90,6 +90,7 @@ pub fn synthesize_weak(
             added.push(c.desc.clone());
         }
     }
+    let m = ctx.mgr_ref().stats();
     let stats = SynthesisStats {
         ranking_time,
         total_time: start.elapsed(),
@@ -97,8 +98,11 @@ pub fn synthesize_weak(
         candidates: cands.len(),
         groups_added: added.len(),
         program_nodes: ctx.mgr_ref().node_count(pim),
-        peak_live_nodes: ctx.mgr_ref().stats().peak_live_nodes,
+        peak_live_nodes: m.peak_live_nodes,
         bdd_ticks: ctx.mgr_ref().ticks_used(),
+        gc_runs: m.gc_runs,
+        cache_lookups: m.cache_lookups,
+        cache_hits: m.cache_hits,
         ..SynthesisStats::default()
     };
     ctx.clear_budget();
