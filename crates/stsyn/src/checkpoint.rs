@@ -29,13 +29,15 @@
 //!
 //! On resume the journal is replayed against a freshly-rebuilt
 //! [`SymbolicContext`]: completed rank layers are loaded from their
-//! snapshots instead of recomputed, completed schedule steps re-apply
-//! their recorded groups and skip the scan/SCC work entirely, and a
-//! partially-completed step re-applies its committed groups before
-//! re-running live. Because every journaled decision is replayed in
-//! journal order and all symbolic state is canonical under the recorded
-//! variable order, a resumed run produces a protocol **bit-identical** to
-//! an uninterrupted one.
+//! snapshots instead of recomputed, and every schedule step takes one
+//! path — it re-applies the groups the journal holds for it (possibly
+//! none), then, unless a `StepDone` fence marks it complete, runs live.
+//! A completed step thus skips the scan/SCC work entirely, an interrupted
+//! one continues where the crash cut it, and a step the journal never
+//! reached runs as in an unchecked run. Because every journaled decision
+//! is replayed in journal order and all symbolic state is canonical under
+//! the recorded variable order, a resumed run produces a protocol
+//! **bit-identical** to an uninterrupted one.
 
 use crate::problem::Phase;
 use std::collections::{HashMap, HashSet};
@@ -499,19 +501,6 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), CheckpointEr
 
 // --- Replay state --------------------------------------------------------
 
-/// How the engine should treat one `(pass, rank, step)` schedule step.
-pub(crate) enum StepMode {
-    /// The step completed before the crash: re-apply exactly these groups
-    /// (in order) and skip the scan/SCC work.
-    Replay(Vec<GroupDesc>),
-    /// The step was interrupted mid-way: re-apply the committed groups,
-    /// then run the step live (already-included groups are skipped by the
-    /// scan, so the live re-run continues exactly where the crash cut).
-    Partial(Vec<GroupDesc>),
-    /// No journal knowledge: run live and journal as we go.
-    Live,
-}
-
 #[derive(Default, Debug)]
 struct Replay {
     /// 1-based layer index → snapshot file (last record wins).
@@ -718,17 +707,13 @@ impl CheckpointSession {
         self.journal.append(&Record::RanksDone { max_rank: max_rank as u32 })
     }
 
-    /// How should the engine treat the schedule step at this coordinate?
-    pub(crate) fn step_mode(&self, pass: u8, rank: u32, step: u32) -> StepMode {
+    /// The groups the journal holds for the schedule step at this
+    /// coordinate, in commit order (possibly none), and whether a
+    /// `StepDone` fence marks the step complete.
+    pub(crate) fn journaled(&self, pass: u8, rank: u32, step: u32) -> (&[GroupDesc], bool) {
         let key = (pass, rank, step);
-        let groups = self.replay.groups.get(&key).cloned().unwrap_or_default();
-        if self.replay.done_steps.contains(&key) {
-            StepMode::Replay(groups)
-        } else if !groups.is_empty() {
-            StepMode::Partial(groups)
-        } else {
-            StepMode::Live
-        }
+        let groups = self.replay.groups.get(&key).map_or(&[][..], Vec::as_slice);
+        (groups, self.replay.done_steps.contains(&key))
     }
 
     /// Journal one accepted recovery group (write-ahead, fsync'd).
@@ -919,11 +904,11 @@ mod tests {
         // A different fingerprint must refuse to resume.
         assert_eq!(CheckpointSession::resume(&dir, fp + 1).unwrap_err(), CheckpointError::Mismatch);
         let s = CheckpointSession::resume(&dir, fp).unwrap();
-        match s.step_mode(1, 1, 0) {
-            StepMode::Replay(groups) => assert_eq!(groups.len(), 1),
-            _ => panic!("expected Replay"),
-        }
-        assert!(matches!(s.step_mode(1, 1, 1), StepMode::Live));
+        // A completed step: its groups, and done.
+        let (groups, done) = s.journaled(1, 1, 0);
+        assert_eq!((groups.len(), done), (1, true));
+        // A step the journal never reached: no groups, not done.
+        assert_eq!(s.journaled(1, 1, 1), (&[][..], false));
         drop(s);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -987,7 +972,9 @@ mod tests {
             // No StepDone: the run died mid-step.
         }
         let s = CheckpointSession::resume(&dir, fp).unwrap();
-        assert!(matches!(s.step_mode(2, 3, 1), StepMode::Partial(g) if g.len() == 1));
+        // An interrupted step: its committed groups, not done.
+        let (groups, done) = s.journaled(2, 3, 1);
+        assert_eq!((groups.len(), done), (1, false));
         drop(s);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1016,7 +1003,7 @@ mod tests {
     fn resume_on_empty_dir_starts_fresh() {
         let dir = temp_dir("fresh");
         let s = CheckpointSession::resume(&dir, 9).unwrap();
-        assert!(matches!(s.step_mode(1, 1, 0), StepMode::Live));
+        assert_eq!(s.journaled(1, 1, 0), (&[][..], false));
         assert!(s.warnings().is_empty());
         drop(s);
         // The Start record is durable: a second resume validates it.

@@ -18,13 +18,13 @@
 //! case [`crate::SynthesisError::DeadlocksRemain`] reports the residue.
 
 use crate::candidates::CandidateSet;
-use crate::checkpoint::{CheckpointError, CheckpointSession, StepMode};
+use crate::checkpoint::{CheckpointError, CheckpointSession};
 use crate::problem::{Options, PartialProgress, Phase, SynthesisError};
 use crate::schedule::Schedule;
 use crate::stats::SynthesisStats;
 use std::time::Instant;
-use stsyn_bdd::{Bdd, BddError};
-use stsyn_obs::{Json, TraceLevel};
+use stsyn_bdd::{Bdd, BddError, Manager};
+use stsyn_obs::{Json, Span, TraceLevel};
 use stsyn_protocol::expr::Expr;
 use stsyn_protocol::group::{groups_of_protocol, GroupDesc};
 use stsyn_protocol::Protocol;
@@ -32,13 +32,13 @@ use stsyn_symbolic::check::{
     closure_holds, strong_convergence, try_closure_holds, try_strong_convergence,
     try_weak_convergence, weak_convergence,
 };
-use stsyn_symbolic::ranks::{try_compute_ranks_resumed, RankTable};
+use stsyn_symbolic::ranks::{try_compute_ranks_resumed, RankTable, RanksInterrupted};
 use stsyn_symbolic::scc::{try_has_cycle, try_scc_decomposition, SccAlgorithm};
 use stsyn_symbolic::SymbolicContext;
 
-/// What can stop a recovery step: the BDD budget, or — in checkpointed
-/// runs — a journal write failure.
-enum StepError {
+/// What can stop a run short of its result: the BDD budget, or — in
+/// checkpointed runs — a journal write failure.
+pub(crate) enum StepError {
     Bdd(BddError),
     Ckpt(CheckpointError),
 }
@@ -49,15 +49,21 @@ impl From<BddError> for StepError {
     }
 }
 
-/// Snapshot the manager state for a [`SynthesisError::ResourceExhausted`];
-/// `ranks_layered`/`groups_added` describe the salvaged partial progress.
-pub(crate) fn resource_err(
+/// The one map from a stopped run to its error. A budget violation
+/// becomes [`SynthesisError::ResourceExhausted`] in `phase`, carrying the
+/// partial progress (`ranks_layered`, `groups_added`) and a snapshot of
+/// the manager; a journal failure becomes [`SynthesisError::Checkpoint`].
+pub(crate) fn stopped(
     ctx: &SymbolicContext,
     phase: Phase,
-    cause: BddError,
     ranks_layered: usize,
     groups_added: &[GroupDesc],
+    e: impl Into<StepError>,
 ) -> SynthesisError {
+    let cause = match e.into() {
+        StepError::Bdd(cause) => cause,
+        StepError::Ckpt(e) => return SynthesisError::Checkpoint(e),
+    };
     let mgr = ctx.mgr_ref();
     SynthesisError::ResourceExhausted {
         phase,
@@ -70,6 +76,65 @@ pub(crate) fn resource_err(
             manager_consistent: mgr.check_consistency().is_ok(),
         }),
     }
+}
+
+/// [`stopped`] before any rank is layered: no partial progress yet.
+pub(crate) fn in_setup(ctx: &SymbolicContext) -> impl Fn(BddError) -> SynthesisError + '_ {
+    move |e| stopped(ctx, Phase::Setup, 0, &[], e)
+}
+
+/// The start strong and weak synthesis share: a context carrying the
+/// run's tracer and budget, the compiled `I` (never empty) and `δ_p`
+/// (with `I` closed in it), the run's start time and its open
+/// `phase.setup` span.
+pub(crate) struct Setup {
+    pub(crate) ctx: SymbolicContext,
+    pub(crate) i: Bdd,
+    pub(crate) delta_p: Bdd,
+    pub(crate) started: Instant,
+    pub(crate) span: Span,
+}
+
+impl Setup {
+    pub(crate) fn new(
+        protocol: &Protocol,
+        invariant: &Expr,
+        opts: &Options,
+    ) -> Result<Setup, SynthesisError> {
+        let started = Instant::now();
+        let mut ctx = SymbolicContext::new(protocol.clone());
+        ctx.mgr().set_tracer(opts.tracer.clone());
+        if let Some(b) = &opts.budget {
+            ctx.set_budget(b);
+        }
+        let span = opts.tracer.span("phase.setup");
+        let i = ctx.try_compile(invariant).map_err(in_setup(&ctx))?;
+        if i.is_false() {
+            return Err(SynthesisError::EmptyInvariant);
+        }
+        let delta_p = ctx.try_protocol_relation().map_err(in_setup(&ctx))?;
+        if !try_closure_holds(&mut ctx, delta_p, i).map_err(in_setup(&ctx))? {
+            return Err(SynthesisError::NotClosed);
+        }
+        Ok(Setup { ctx, i, delta_p, started, span })
+    }
+}
+
+/// `ComputeRanks`' table as the run's result: an interrupted table stops
+/// the run in [`Phase::Ranking`] with the layers it completed, and a table
+/// with rank-∞ states proves that no stabilizing version exists
+/// (Theorem IV.1).
+pub(crate) fn ranked(
+    ctx: &SymbolicContext,
+    table: Result<RankTable, Box<RanksInterrupted>>,
+) -> Result<RankTable, SynthesisError> {
+    let ranks =
+        table.map_err(|r| stopped(ctx, Phase::Ranking, r.ranks_so_far.len(), &[], r.cause))?;
+    if !ranks.complete() {
+        let unreachable_states = ctx.count_states(ranks.infinite);
+        return Err(SynthesisError::NoStabilizingVersion { unreachable_states });
+    }
+    Ok(ranks)
 }
 
 /// A successful synthesis: the symbolic context, the synthesized relation,
@@ -95,6 +160,24 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// Complete the statistics from the manager (program size, peak live
+    /// nodes, ticks, GC runs, cache probes) and the clock, and hand the
+    /// context back unbudgeted: follow-up queries on the outcome
+    /// (extraction, re-verification) must not trip a stale budget.
+    pub(crate) fn finish(mut self, started: Instant) -> Outcome {
+        let mgr = self.ctx.mgr_ref();
+        let m = mgr.stats();
+        self.stats.program_nodes = mgr.node_count(self.pss);
+        self.stats.peak_live_nodes = m.peak_live_nodes;
+        self.stats.bdd_ticks = mgr.ticks_used();
+        self.stats.gc_runs = m.gc_runs;
+        self.stats.cache_lookups = m.cache_lookups;
+        self.stats.cache_hits = m.cache_hits;
+        self.stats.total_time = started.elapsed();
+        self.ctx.clear_budget();
+        self
+    }
+
     /// The symbolic context (for further queries against the result).
     pub fn ctx(&mut self) -> &mut SymbolicContext {
         &mut self.ctx
@@ -168,6 +251,73 @@ impl Outcome {
     }
 }
 
+/// The SCCs of one decomposition, for the cycle-membership test that
+/// preprocessing and `Identify_Resolve_Cycles` share. Each SCC is renamed
+/// to the primed variables at most once, on first use.
+struct Sccs {
+    sccs: Vec<Bdd>,
+    primed: Vec<Option<Bdd>>,
+}
+
+impl Sccs {
+    fn new(sccs: Vec<Bdd>) -> Sccs {
+        Sccs { primed: vec![None; sccs.len()], sccs }
+    }
+
+    /// Does `rel` have a transition on a cycle, i.e. some `(s, s′)` with
+    /// `s` and `s′` in the same SCC?
+    fn cyclic(&mut self, ctx: &mut SymbolicContext, rel: Bdd) -> Result<bool, BddError> {
+        for (&scc, primed) in self.sccs.iter().zip(&mut self.primed) {
+            let scc_primed = match *primed {
+                Some(p) => p,
+                None => {
+                    let m = ctx.cur_to_primed();
+                    *primed.insert(ctx.mgr().try_rename(scc, m)?)
+                }
+            };
+            let inside = ctx.mgr().try_and(rel, scc)?;
+            if ctx.mgr().try_intersects(inside, scc_primed)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// Preprocessing (§V): drop every group of `p` with a transition on a
+/// non-progress cycle of `δ_p | ¬I`. Returns the kept relation and the
+/// dropped groups. The paper's preprocessing exits when such a group has
+/// a groupmate starting in `I`, since dropping it would change `δ_p | I`.
+fn preprocess(
+    ctx: &mut SymbolicContext,
+    i: Bdd,
+    not_i: Bdd,
+    delta_p: Bdd,
+) -> Result<(Bdd, Vec<GroupDesc>), SynthesisError> {
+    let mut removed = Vec::new();
+    let restricted = ctx.try_restrict_relation(delta_p, not_i).map_err(in_setup(ctx))?;
+    if !try_has_cycle(ctx, restricted, not_i).map_err(in_setup(ctx))? {
+        return Ok((delta_p, removed));
+    }
+    let sccs = try_scc_decomposition(ctx, restricted, not_i, SccAlgorithm::Skeleton)
+        .map_err(in_setup(ctx))?;
+    let mut sccs = Sccs::new(sccs);
+    let mut keep = Bdd::FALSE;
+    for g in groups_of_protocol(ctx.protocol()) {
+        let rel = ctx.try_group_relation(&g).map_err(in_setup(ctx))?;
+        if !sccs.cyclic(ctx, rel).map_err(in_setup(ctx))? {
+            keep = ctx.mgr().try_or(keep, rel).map_err(in_setup(ctx))?;
+            continue;
+        }
+        let src = ctx.try_group_source(&g).map_err(in_setup(ctx))?;
+        if ctx.mgr().try_intersects(src, i).map_err(in_setup(ctx))? {
+            return Err(SynthesisError::CycleUnremovable);
+        }
+        removed.push(g);
+    }
+    Ok((keep, removed))
+}
+
 /// Shared mutable state threaded through the passes. Three quantities are
 /// maintained *incrementally* because the heuristic queries them after
 /// every group addition: the synthesized relation, its restriction to
@@ -199,32 +349,39 @@ struct Engine {
 const GC_THRESHOLD: usize = 6_000_000;
 
 impl Engine {
-    /// `Add_Recovery` (Fig. 3): let process `j` contribute groups with a
-    /// transition from `From` to `To`, excluding `ruledOutTrans`
-    /// (`ruled_out_deadlocks` carries the pass-1-only C4 component; the C1
-    /// component is baked into the candidate set), then run
-    /// `Identify_Resolve_Cycles` and keep only the cycle-free additions.
+    /// The deadlock states: `¬I` states with no outgoing `pss` transition.
     fn deadlocks(&mut self) -> Result<Bdd, BddError> {
         let not_enabled = self.ctx.mgr().try_not(self.enabled_union)?;
         self.ctx.mgr().try_and(self.not_i, not_enabled)
     }
 
-    fn maybe_gc(&mut self, extra: &[Bdd]) {
-        if self.ctx.mgr_ref().stats().live_nodes < GC_THRESHOLD {
-            return;
-        }
+    /// Every handle the engine keeps across steps, plus `extra`: the roots
+    /// of a collection between steps and of a budget's safe points.
+    fn roots(&self, extra: &[Bdd]) -> Vec<Bdd> {
         let mut roots = self.cands.roots();
         roots.extend([
-            self.pss,
-            self.pss_restricted,
-            self.enabled_union,
             self.i,
             self.not_i,
             self.delta_p,
+            self.pss,
+            self.pss_restricted,
+            self.enabled_union,
         ]);
         roots.extend(self.rank_bdds.iter().copied());
         roots.extend_from_slice(extra);
-        self.ctx.gc(&roots);
+        roots
+    }
+
+    fn maybe_gc(&mut self, extra: &[Bdd]) {
+        if self.ctx.mgr_ref().stats().live_nodes >= GC_THRESHOLD {
+            let roots = self.roots(extra);
+            self.ctx.gc(&roots);
+        }
+    }
+
+    /// [`stopped`] in `phase`, with the engine's progress so far.
+    fn fail<E: Into<StepError>>(&self, phase: Phase) -> impl Fn(E) -> SynthesisError + '_ {
+        move |e| stopped(&self.ctx, phase, self.rank_bdds.len(), &self.added, e)
     }
 
     /// Commit the candidates `cis` as one batch: extend the synthesized
@@ -295,6 +452,11 @@ impl Engine {
         self.commit_groups(&cis, None, None)
     }
 
+    /// `Add_Recovery` (Fig. 3): let process `j` contribute groups with a
+    /// transition from `From` to `To`, excluding `ruledOutTrans`
+    /// (`ruled_out_deadlocks` carries the pass-1-only C4 component; the C1
+    /// component is baked into the candidate set), then run
+    /// `Identify_Resolve_Cycles` and keep only the cycle-free additions.
     fn add_recovery(
         &mut self,
         from: Bdd,
@@ -421,19 +583,14 @@ impl Engine {
         // badTrans: added groups with a transition inside some SCC; a
         // whole cluster is dropped if any member participates in a cycle.
         let include_start = Instant::now();
+        let mut sccs = Sccs::new(sccs);
         let tried = clusters.len();
         let mut kept = 0usize;
         let mut kept_cis: Vec<usize> = Vec::new();
         'cluster: for cluster in clusters {
             for &ci in &cluster {
-                let rel = self.cands.all[ci].relation;
-                for &scc in &sccs {
-                    let m = self.ctx.cur_to_primed();
-                    let scc_primed = self.ctx.mgr().try_rename(scc, m)?;
-                    let inside = self.ctx.mgr().try_and(rel, scc)?;
-                    if self.ctx.mgr().try_intersects(inside, scc_primed)? {
-                        continue 'cluster; // participates in a cycle: drop it
-                    }
+                if sccs.cyclic(&mut self.ctx, self.cands.all[ci].relation)? {
+                    continue 'cluster; // participates in a cycle: drop it
                 }
             }
             kept_cis.extend(cluster);
@@ -465,13 +622,12 @@ impl Engine {
     /// every process and — in pass 1 — refresh the C4 rule-out set.
     /// Returns the remaining deadlock states.
     ///
-    /// In checkpointed runs each schedule step is keyed by
-    /// `(pass, rank_key, step)`: a step the journal marks complete is
-    /// *replayed* (its recorded groups re-applied, the scan/SCC work
-    /// skipped), a step with journaled groups but no completion fence
-    /// re-applies those groups and then continues live, and everything
-    /// else runs live with write-ahead journaling. Replayed state is
-    /// canonical, so the control flow (deadlock recomputation, early
+    /// Each schedule step is keyed by `(pass, rank_key, step)` and takes
+    /// one path: re-apply the groups a resumed journal holds for it
+    /// (possibly none), then, unless the journal marks the step done, run
+    /// `Add_Recovery` live with write-ahead journaling and fence the step.
+    /// An unchecked run is the case "no groups, not done". Replayed state
+    /// is canonical, so the control flow (deadlock recomputation, early
     /// exits) retraces the crashed run exactly.
     fn add_convergence(
         &mut self,
@@ -484,37 +640,22 @@ impl Engine {
     ) -> Result<Bdd, StepError> {
         let (pass, rank_key) = coord;
         let mut ruled_out = if pass == 1 { Some(deadlocks) } else { None };
-        for (step, p) in schedule.order().to_vec().into_iter().enumerate() {
+        for (step, p) in schedule.order().iter().enumerate() {
             self.maybe_gc(&[from, to, deadlocks]);
             let key = (pass, rank_key, step as u32);
-            let mode = match ckpt.as_deref_mut() {
-                Some(c) => c.step_mode(key.0, key.1, key.2),
-                None => StepMode::Live,
+            let (groups, done) = match ckpt.as_deref() {
+                Some(c) => c.journaled(key.0, key.1, key.2),
+                None => (&[][..], false),
             };
-            let changed = match mode {
-                StepMode::Replay(groups) => {
-                    let n = groups.len();
-                    self.replay_groups(&groups)?;
-                    n > 0
+            let mut changed = !groups.is_empty();
+            self.replay_groups(groups)?;
+            if !done {
+                changed |= self.add_recovery(from, to, p.0, ruled_out, key, ckpt)?;
+                if let Some(c) = ckpt.as_deref_mut() {
+                    c.record_step_done(key.0, key.1, key.2, self.ctx.mgr_ref())
+                        .map_err(StepError::Ckpt)?;
                 }
-                StepMode::Partial(groups) => {
-                    self.replay_groups(&groups)?;
-                    let live = self.add_recovery(from, to, p.0, ruled_out, key, ckpt)?;
-                    if let Some(c) = ckpt.as_deref_mut() {
-                        c.record_step_done(key.0, key.1, key.2, self.ctx.mgr_ref())
-                            .map_err(StepError::Ckpt)?;
-                    }
-                    live || !groups.is_empty()
-                }
-                StepMode::Live => {
-                    let live = self.add_recovery(from, to, p.0, ruled_out, key, ckpt)?;
-                    if let Some(c) = ckpt.as_deref_mut() {
-                        c.record_step_done(key.0, key.1, key.2, self.ctx.mgr_ref())
-                            .map_err(StepError::Ckpt)?;
-                    }
-                    live
-                }
-            };
+            }
             if changed {
                 let dl_start = Instant::now();
                 deadlocks = self.deadlocks()?;
@@ -528,6 +669,65 @@ impl Engine {
             }
         }
         Ok(deadlocks)
+    }
+
+    /// `ComputeRanks` over `p_im` (§IV approximation). A resuming
+    /// checkpoint session may hold journaled rank layers: when they are
+    /// complete they are loaded instead of recomputed, otherwise the search
+    /// continues from the loaded prefix (each layer is uniquely determined
+    /// by `p_im` and `I`, so it is the very same search).
+    fn compute_ranks(
+        &mut self,
+        ckpt: &mut Option<&mut CheckpointSession>,
+    ) -> Result<RankTable, SynthesisError> {
+        let (prefix, complete) = match ckpt.as_deref_mut() {
+            Some(c) => {
+                let loaded = c.load_rank_prefix(&mut self.ctx);
+                let tracer = self.ctx.mgr_ref().tracer();
+                for w in c.warnings() {
+                    eprintln!("stsyn: checkpoint warning: {w}");
+                    tracer.warn("checkpoint.warning", &[("message", Json::from(w.as_str()))]);
+                }
+                // Continue the crashed run's cumulative counters (gc runs,
+                // cache probes, peak live) instead of restarting them with
+                // the rebuilt manager.
+                if let Some(prior) = c.prior_counters() {
+                    self.ctx.mgr().adopt_counters(&prior);
+                }
+                loaded
+            }
+            None => (Vec::new(), false),
+        };
+        let table = if complete {
+            // The journal certifies the layering finished, so `p_im` (only
+            // ever used as the ranking relation) is not needed.
+            let roots = self.roots(&prefix);
+            self.ctx.register_roots(&roots);
+            let mut explored = self.i;
+            for &layer in &prefix {
+                explored =
+                    self.ctx.mgr().try_or(explored, layer).map_err(self.fail(Phase::Ranking))?;
+            }
+            let infinite = self.ctx.try_not_states(explored).map_err(self.fail(Phase::Ranking))?;
+            Ok(RankTable { ranks: [&[self.i], &prefix[..]].concat(), explored, infinite })
+        } else {
+            let pim =
+                self.cands.try_pim(&mut self.ctx, self.delta_p).map_err(self.fail(Phase::Setup))?;
+            let roots = self.roots(&[&prefix[..], &[pim]].concat());
+            self.ctx.register_roots(&roots);
+            let mut persist = |mgr: &Manager, idx: usize, layer: Bdd| {
+                if let Some(c) = ckpt.as_deref_mut() {
+                    c.observe_rank_layer(mgr, idx, layer);
+                }
+            };
+            let table =
+                try_compute_ranks_resumed(&mut self.ctx, pim, self.i, &prefix, Some(&mut persist));
+            if let Some(e) = ckpt.as_deref_mut().and_then(|c| c.take_error()) {
+                return Err(SynthesisError::Checkpoint(e));
+            }
+            table
+        };
+        ranked(&self.ctx, table)
     }
 }
 
@@ -564,71 +764,12 @@ pub(crate) fn synthesize_checkpointed(
     if !schedule.is_permutation_of(protocol.num_processes()) {
         return Err(SynthesisError::BadSchedule);
     }
-    let start = Instant::now();
-    let tracer = opts.tracer.clone();
-    let mut ctx = SymbolicContext::new(protocol.clone());
-    ctx.mgr().set_tracer(tracer.clone());
-    if let Some(b) = &opts.budget {
-        ctx.set_budget(b);
-    }
-    let setup_span = tracer.span("phase.setup");
-    // Everything before ranking maps a budget violation to `Phase::Setup`
-    // with empty partial progress.
-    macro_rules! setup {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(cause) => return Err(resource_err(&ctx, Phase::Setup, cause, 0, &[])),
-            }
-        };
-    }
-    let i = setup!(ctx.try_compile(invariant));
-    if i.is_false() {
-        return Err(SynthesisError::EmptyInvariant);
-    }
-    let mut delta_p = setup!(ctx.try_protocol_relation());
-    if !setup!(try_closure_holds(&mut ctx, delta_p, i)) {
-        return Err(SynthesisError::NotClosed);
-    }
-    let not_i = setup!(ctx.try_not_states(i));
-
-    // --- Preprocessing: non-progress cycles already in δ_p | ¬I ---------
-    let mut removed_from_p: Vec<GroupDesc> = Vec::new();
-    let restricted_p = setup!(ctx.try_restrict_relation(delta_p, not_i));
-    if setup!(try_has_cycle(&mut ctx, restricted_p, not_i)) {
-        let sccs =
-            setup!(try_scc_decomposition(&mut ctx, restricted_p, not_i, SccAlgorithm::Skeleton));
-        let p_groups = groups_of_protocol(protocol);
-        let mut keep = Bdd::FALSE;
-        for g in &p_groups {
-            let rel = setup!(ctx.try_group_relation(&g.clone()));
-            let mut cyclic = false;
-            for &scc in &sccs {
-                let m = ctx.cur_to_primed();
-                let scc_primed = setup!(ctx.mgr().try_rename(scc, m));
-                let inside = setup!(ctx.mgr().try_and(rel, scc));
-                if setup!(ctx.mgr().try_intersects(inside, scc_primed)) {
-                    cyclic = true;
-                    break;
-                }
-            }
-            if cyclic {
-                // The paper's preprocessing exits when a cycle transition
-                // has a groupmate in p|I (removal would change δ_p|I).
-                let src = setup!(ctx.try_group_source(g));
-                if setup!(ctx.mgr().try_intersects(src, i)) {
-                    return Err(SynthesisError::CycleUnremovable);
-                }
-                removed_from_p.push(g.clone());
-            } else {
-                keep = setup!(ctx.mgr().try_or(keep, rel));
-            }
-        }
-        delta_p = keep;
-    }
-    let pss_restricted = setup!(ctx.try_restrict_relation(delta_p, not_i));
-    let enabled_union = setup!(ctx.try_enabled(delta_p));
-    let cands = setup!(CandidateSet::try_build(&mut ctx, i));
+    let Setup { mut ctx, i, delta_p, started, span } = Setup::new(protocol, invariant, opts)?;
+    let not_i = ctx.try_not_states(i).map_err(in_setup(&ctx))?;
+    let (delta_p, removed_from_p) = preprocess(&mut ctx, i, not_i, delta_p)?;
+    let pss_restricted = ctx.try_restrict_relation(delta_p, not_i).map_err(in_setup(&ctx))?;
+    let enabled_union = ctx.try_enabled(delta_p).map_err(in_setup(&ctx))?;
+    let cands = CandidateSet::try_build(&mut ctx, i).map_err(in_setup(&ctx))?;
     let mut engine = Engine {
         i,
         not_i,
@@ -637,215 +778,58 @@ pub(crate) fn synthesize_checkpointed(
         pss_restricted,
         enabled_union,
         rank_bdds: Vec::new(),
+        stats: SynthesisStats { candidates: cands.len(), ..SynthesisStats::default() },
         cands,
         cand_index: None,
         added: Vec::new(),
-        stats: SynthesisStats::default(),
         opts: opts.clone(),
         ctx,
     };
-    // From here on a budget violation carries the engine's partial
-    // progress (rank layers so far, groups already added and verified).
-    macro_rules! phased {
-        ($phase:expr, $e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(cause) => {
-                    let layered = engine.rank_bdds.len();
-                    return Err(resource_err(&engine.ctx, $phase, cause, layered, &engine.added));
-                }
-            }
-        };
-    }
-    engine.stats.candidates = engine.cands.len();
     // Groups of p itself that qualify as candidates are already present in
     // pss; mark them included once, up front.
-    if !engine.delta_p.is_false() {
+    if !delta_p.is_false() {
         for ci in 0..engine.cands.all.len() {
-            let rel = engine.cands.all[ci].relation;
-            if phased!(Phase::Setup, engine.ctx.mgr().try_implies_holds(rel, engine.delta_p)) {
+            let in_p = engine.ctx.mgr().try_implies_holds(engine.cands.all[ci].relation, delta_p);
+            if in_p.map_err(engine.fail(Phase::Setup))? {
                 engine.cands.all[ci].included = true;
             }
         }
     }
+    span.close();
 
-    // --- §IV approximation: ComputeRanks over p_im ----------------------
-    // A resuming checkpoint session may hold journaled rank-layer
-    // snapshots; load them first (each layer is uniquely determined by
-    // `p_im` and `I`, so a replayed prefix continues the very same BFS).
-    setup_span.close();
-    let ranking_span = tracer.span("phase.ranking");
+    let ranking_span = opts.tracer.span("phase.ranking");
     let rank_start = Instant::now();
-    let (rank_prefix, ranks_replayed) = match ckpt.as_deref_mut() {
-        Some(c) => {
-            let before = c.warnings().len();
-            let loaded = c.load_rank_prefix(&mut engine.ctx);
-            for w in &c.warnings()[before..] {
-                eprintln!("stsyn: checkpoint warning: {w}");
-                tracer.warn("checkpoint.warning", &[("message", Json::from(w.as_str()))]);
-            }
-            // Continue the crashed run's cumulative counters (gc runs,
-            // cache probes, peak live) instead of restarting them with
-            // the rebuilt manager.
-            if let Some(prior) = c.prior_counters() {
-                engine.ctx.mgr().adopt_counters(&prior);
-            }
-            loaded
-        }
-        None => (Vec::new(), false),
-    };
-    let ranks = if ranks_replayed {
-        // Complete replay: the journal certifies the layering finished, so
-        // `p_im` (only ever used as the ranking relation) is not needed.
-        if opts.budget.is_some() {
-            let mut roots = engine.cands.roots();
-            roots.extend([
-                engine.i,
-                engine.not_i,
-                engine.delta_p,
-                engine.pss,
-                engine.pss_restricted,
-                engine.enabled_union,
-            ]);
-            roots.extend(rank_prefix.iter().copied());
-            engine.ctx.register_roots(&roots);
-        }
-        let mut ranks_v = vec![i];
-        let mut explored = i;
-        for &layer in &rank_prefix {
-            explored = phased!(Phase::Ranking, engine.ctx.mgr().try_or(explored, layer));
-            ranks_v.push(layer);
-        }
-        let infinite = phased!(Phase::Ranking, engine.ctx.try_not_states(explored));
-        RankTable { ranks: ranks_v, explored, infinite }
-    } else {
-        let pim = phased!(Phase::Setup, engine.cands.try_pim(&mut engine.ctx, engine.delta_p));
-        // `ComputeRanks` hits node-ceiling safe points; every long-lived
-        // handle must be registered so graceful-degradation GC preserves
-        // it.
-        if opts.budget.is_some() {
-            let mut roots = engine.cands.roots();
-            roots.extend([
-                engine.i,
-                engine.not_i,
-                engine.delta_p,
-                engine.pss,
-                engine.pss_restricted,
-                engine.enabled_union,
-                pim,
-            ]);
-            roots.extend(rank_prefix.iter().copied());
-            engine.ctx.register_roots(&roots);
-        }
-        let ranks_result = {
-            let mut persist;
-            let observer: Option<stsyn_symbolic::ranks::RankLayerObserver<'_>> =
-                match ckpt.as_deref_mut() {
-                    Some(c) => {
-                        persist = |mgr: &stsyn_bdd::Manager, idx: usize, layer: Bdd| {
-                            c.observe_rank_layer(mgr, idx, layer)
-                        };
-                        Some(&mut persist)
-                    }
-                    None => None,
-                };
-            try_compute_ranks_resumed(&mut engine.ctx, pim, i, &rank_prefix, observer)
-        };
-        if let Some(c) = ckpt.as_deref_mut() {
-            if let Some(e) = c.take_error() {
-                return Err(SynthesisError::Checkpoint(e));
-            }
-        }
-        match ranks_result {
-            Ok(t) => t,
-            Err(interrupted) => {
-                return Err(resource_err(
-                    &engine.ctx,
-                    Phase::Ranking,
-                    interrupted.cause,
-                    interrupted.ranks_so_far.len(),
-                    &[],
-                ))
-            }
-        }
-    };
+    let ranks = engine.compute_ranks(&mut ckpt)?;
     engine.stats.ranking_time = rank_start.elapsed();
     ranking_span.close();
     engine.stats.max_rank = ranks.max_rank();
-    if !ranks.complete() {
-        let count = engine.ctx.count_states(ranks.infinite);
-        return Err(SynthesisError::NoStabilizingVersion { unreachable_states: count });
-    }
     if let Some(c) = ckpt.as_deref_mut() {
-        if let Err(e) = c.record_ranks_done(ranks.max_rank()) {
-            return Err(SynthesisError::Checkpoint(e));
-        }
+        c.record_ranks_done(ranks.max_rank()).map_err(SynthesisError::Checkpoint)?;
     }
     engine.rank_bdds = ranks.ranks.clone();
-
-    let mut deadlocks = phased!(Phase::Ranking, engine.deadlocks());
-
-    // Like `phased!`, but for the checkpoint-aware step functions: a BDD
-    // budget violation still maps to `ResourceExhausted`, while a journal
-    // failure surfaces as `SynthesisError::Checkpoint`.
-    macro_rules! phased_step {
-        ($phase:expr, $e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(StepError::Bdd(cause)) => {
-                    let layered = engine.rank_bdds.len();
-                    return Err(resource_err(&engine.ctx, $phase, cause, layered, &engine.added));
-                }
-                Err(StepError::Ckpt(e)) => return Err(SynthesisError::Checkpoint(e)),
-            }
-        };
-    }
+    let mut deadlocks = engine.deadlocks().map_err(engine.fail(Phase::Ranking))?;
 
     // --- Passes 1–3 ------------------------------------------------------
+    // Passes 1 and 2 recover rank by rank, from the deadlocks of `Rank[ri]`
+    // to `Rank[ri − 1]`; pass 3 from all remaining deadlocks to anywhere.
     let mut finished = 0u8;
     if !deadlocks.is_false() {
-        let recovery_span = tracer.span("phase.recovery");
-        'passes: for pass in 1u8..=3u8 {
-            if pass <= 2 {
-                for ri in 1..=ranks.max_rank() {
-                    let from = phased!(
-                        Phase::Recovery { pass },
-                        engine.ctx.mgr().try_and(ranks.rank(ri), deadlocks)
-                    );
-                    if from.is_false() {
-                        continue;
-                    }
-                    let to = ranks.rank(ri - 1);
-                    deadlocks = phased_step!(
-                        Phase::Recovery { pass },
-                        engine.add_convergence(
-                            from,
-                            to,
-                            deadlocks,
-                            (pass, ri as u32),
-                            &schedule,
-                            &mut ckpt
-                        )
-                    );
-                    if deadlocks.is_false() {
-                        finished = pass;
-                        break 'passes;
-                    }
+        let recovery_span = opts.tracer.span("phase.recovery");
+        'passes: for pass in 1u8..=3 {
+            let rank_keys = if pass <= 2 { 1..=ranks.max_rank() } else { 0..=0 };
+            for ri in rank_keys {
+                let (from, to) = if pass <= 2 {
+                    let from = engine.ctx.mgr().try_and(ranks.rank(ri), deadlocks);
+                    (from.map_err(engine.fail(Phase::Recovery { pass }))?, ranks.rank(ri - 1))
+                } else {
+                    (deadlocks, engine.ctx.all_states())
+                };
+                if from.is_false() {
+                    continue;
                 }
-            } else {
-                // Pass 3: From = all remaining deadlocks, To = anywhere.
-                let to = engine.ctx.all_states();
-                deadlocks = phased_step!(
-                    Phase::Recovery { pass },
-                    engine.add_convergence(
-                        deadlocks,
-                        to,
-                        deadlocks,
-                        (pass, 0),
-                        &schedule,
-                        &mut ckpt
-                    )
-                );
+                deadlocks = engine
+                    .add_convergence(from, to, deadlocks, (pass, ri as u32), &schedule, &mut ckpt)
+                    .map_err(engine.fail(Phase::Recovery { pass }))?;
                 if deadlocks.is_false() {
                     finished = pass;
                     break 'passes;
@@ -860,31 +844,20 @@ pub(crate) fn synthesize_checkpointed(
     }
 
     engine.stats.finished_in_pass = finished;
-    engine.stats.program_nodes = engine.ctx.mgr_ref().node_count(engine.pss);
-    engine.stats.peak_live_nodes = engine.ctx.mgr_ref().stats().peak_live_nodes;
-
-    let mut outcome = Outcome {
+    let outcome = Outcome {
         ctx: engine.ctx,
-        i: engine.i,
-        delta_p: engine.delta_p,
+        i,
+        delta_p,
         pss: engine.pss,
         added: engine.added,
         removed_from_p,
         stats: engine.stats,
         schedule,
-    };
-    let m = outcome.ctx.mgr_ref().stats();
-    outcome.stats.bdd_ticks = outcome.ctx.mgr_ref().ticks_used();
-    outcome.stats.gc_runs = m.gc_runs;
-    outcome.stats.cache_lookups = m.cache_lookups;
-    outcome.stats.cache_hits = m.cache_hits;
-    outcome.stats.total_time = start.elapsed();
-    if tracer.level_enabled(TraceLevel::Info) {
-        tracer.info("synthesis.stats", &outcome.stats.record());
     }
-    // Hand the context back unbudgeted: follow-up queries on the outcome
-    // (extraction, re-verification) must not trip a stale budget.
-    outcome.ctx.clear_budget();
+    .finish(started);
+    if opts.tracer.level_enabled(TraceLevel::Info) {
+        opts.tracer.info("synthesis.stats", &outcome.stats.record());
+    }
     Ok(outcome)
 }
 

@@ -301,11 +301,6 @@ impl AddConvergence {
             crate::checkpoint::CheckpointSession::create(checkpoint_dir, fp)
         }
         .map_err(SynthesisError::Checkpoint)?;
-        for w in session.warnings() {
-            eprintln!("stsyn: checkpoint warning: {w}");
-            opts.tracer
-                .warn("checkpoint.warning", &[("message", stsyn_obs::Json::from(w.as_str()))]);
-        }
         let result = crate::heuristic::synthesize_checkpointed(
             &self.protocol,
             &self.invariant,

@@ -7,107 +7,59 @@
 //! stabilizing version of `p` exists at all.
 
 use crate::candidates::CandidateSet;
-use crate::heuristic::{resource_err, Outcome};
+use crate::heuristic::{in_setup, ranked, stopped, Outcome, Setup};
 use crate::problem::{Options, Phase, SynthesisError};
 use crate::schedule::Schedule;
 use crate::stats::SynthesisStats;
 use std::time::Instant;
 use stsyn_protocol::expr::Expr;
 use stsyn_protocol::Protocol;
-use stsyn_symbolic::check::try_closure_holds;
 use stsyn_symbolic::ranks::try_compute_ranks;
-use stsyn_symbolic::SymbolicContext;
 
 /// Produce the weakly stabilizing `p_im`, or prove none exists.
 ///
-/// Honors [`Options::budget`] with the same failure semantics as the
-/// strong-stabilization heuristic (setup and ranking phases only — weak
-/// synthesis has no recovery passes).
+/// Shares the strong heuristic's start ([`Setup`]) and its reading of the
+/// rank table, so it honors [`Options::budget`] and [`Options::tracer`]
+/// the same way (setup and ranking phases only — weak synthesis has no
+/// preprocessing and no recovery passes). It emits no `synthesis.stats`
+/// record.
 pub fn synthesize_weak(
     protocol: &Protocol,
     invariant: &Expr,
     opts: &Options,
 ) -> Result<Outcome, SynthesisError> {
-    let start = Instant::now();
-    let mut ctx = SymbolicContext::new(protocol.clone());
-    if let Some(b) = &opts.budget {
-        ctx.set_budget(b);
-    }
-    macro_rules! setup {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(cause) => return Err(resource_err(&ctx, Phase::Setup, cause, 0, &[])),
-            }
-        };
-    }
-    let i = setup!(ctx.try_compile(invariant));
-    if i.is_false() {
-        return Err(SynthesisError::EmptyInvariant);
-    }
-    let delta_p = setup!(ctx.try_protocol_relation());
-    if !setup!(try_closure_holds(&mut ctx, delta_p, i)) {
-        return Err(SynthesisError::NotClosed);
-    }
-    let mut cands = setup!(CandidateSet::try_build(&mut ctx, i));
-    let pim = setup!(cands.try_pim(&mut ctx, delta_p));
+    let Setup { mut ctx, i, delta_p, started, span } = Setup::new(protocol, invariant, opts)?;
+    let mut cands = CandidateSet::try_build(&mut ctx, i).map_err(in_setup(&ctx))?;
+    let pim = cands.try_pim(&mut ctx, delta_p).map_err(in_setup(&ctx))?;
+    let mut roots = cands.roots();
+    roots.extend([i, delta_p, pim]);
+    ctx.register_roots(&roots);
+    span.close();
 
-    if opts.budget.is_some() {
-        let mut roots = cands.roots();
-        roots.extend([i, delta_p, pim]);
-        ctx.register_roots(&roots);
-    }
+    let ranking_span = opts.tracer.span("phase.ranking");
     let rank_start = Instant::now();
-    let ranks = match try_compute_ranks(&mut ctx, pim, i) {
-        Ok(t) => t,
-        Err(interrupted) => {
-            return Err(resource_err(
-                &ctx,
-                Phase::Ranking,
-                interrupted.cause,
-                interrupted.ranks_so_far.len(),
-                &[],
-            ))
-        }
-    };
+    let table = try_compute_ranks(&mut ctx, pim, i);
+    let ranks = ranked(&ctx, table)?;
     let ranking_time = rank_start.elapsed();
-    if !ranks.complete() {
-        let count = ctx.count_states(ranks.infinite);
-        return Err(SynthesisError::NoStabilizingVersion { unreachable_states: count });
-    }
-
     // Every candidate not already contained in δ_p counts as added.
     let mut added = Vec::new();
     for c in &mut cands.all {
         c.included = true;
-        let subsumed = match ctx.mgr().try_implies_holds(c.relation, delta_p) {
-            Ok(v) => v,
-            Err(cause) => {
-                return Err(resource_err(&ctx, Phase::Ranking, cause, ranks.ranks.len(), &[]))
-            }
-        };
-        if !subsumed {
+        let subsumed = ctx.mgr().try_implies_holds(c.relation, delta_p);
+        if !subsumed.map_err(|e| stopped(&ctx, Phase::Ranking, ranks.ranks.len(), &[], e))? {
             added.push(c.desc.clone());
         }
     }
-    let m = ctx.mgr_ref().stats();
+    ranking_span.close();
     let stats = SynthesisStats {
         ranking_time,
-        total_time: start.elapsed(),
         max_rank: ranks.max_rank(),
         candidates: cands.len(),
         groups_added: added.len(),
-        program_nodes: ctx.mgr_ref().node_count(pim),
-        peak_live_nodes: m.peak_live_nodes,
-        bdd_ticks: ctx.mgr_ref().ticks_used(),
-        gc_runs: m.gc_runs,
-        cache_lookups: m.cache_lookups,
-        cache_hits: m.cache_hits,
         ..SynthesisStats::default()
     };
-    ctx.clear_budget();
     let k = protocol.num_processes();
-    Ok(Outcome {
+    let outcome = Outcome {
         i,
         delta_p,
         pss: pim,
@@ -116,7 +68,8 @@ pub fn synthesize_weak(
         stats,
         schedule: Schedule::identity(k),
         ctx,
-    })
+    };
+    Ok(outcome.finish(started))
 }
 
 #[cfg(test)]

@@ -139,3 +139,24 @@ fn budgeted_traced_run_emits_degradation_events_without_changing_results() {
     parse_trace(text.as_bytes()).expect("trace of budgeted run fails validation");
     assert_eq!(plain.added, traced.added);
 }
+
+#[test]
+fn weak_run_traces_setup_and_ranking_without_a_stats_record() {
+    let (p, i) = coloring(3);
+    let problem = AddConvergence::new(p, i).unwrap();
+    let (tracer, sink) = Tracer::memory(TraceLevel::Debug);
+    let mut outcome =
+        problem.synthesize_weak_with(&Options { tracer, ..Options::default() }).unwrap();
+    assert!(outcome.verify_weak());
+    let text = sink.lines().join("\n");
+    let records = parse_trace(text.as_bytes()).expect("weak trace fails schema validation");
+    assert_eq!(open_spans(&records), 0, "spans left open at end of run");
+    let named =
+        |name: &str| records.iter().any(|r| r.get("name").and_then(Json::as_str) == Some(name));
+    for name in ["phase.setup", "phase.ranking", "rank.layer"] {
+        assert!(named(name), "no `{name}` record in the weak trace");
+    }
+    // perfbench counts one solve per `synthesis.stats` record; weak runs
+    // are not solves of the strong heuristic.
+    assert!(!named("synthesis.stats"), "weak run emitted `synthesis.stats`");
+}
