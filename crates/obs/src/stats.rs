@@ -23,17 +23,19 @@ use std::time::Duration;
 pub struct SynthesisStats {
     /// Wall time spent in `ComputeRanks` (the §IV approximation).
     pub ranking_time: Duration,
-    /// Wall time spent inside symbolic SCC detection
+    /// Wall time spent inside the symbolic cycle check
     /// (`Identify_Resolve_Cycles`), summed over all invocations.
     pub scc_time: Duration,
     /// Total wall time of the synthesis call.
     pub total_time: Duration,
-    /// Number of `Identify_Resolve_Cycles` invocations.
+    /// Number of `Identify_Resolve_Cycles` cycle checks (one per schedule
+    /// step that tried a group; preprocessing's check is not counted).
     pub scc_calls: usize,
-    /// Number of (non-trivial) SCCs detected across all invocations.
+    /// Number of non-trivial SCCs the cycle checks built. A check builds
+    /// only the SCCs that decide its groups, not every SCC of the graph.
     pub sccs_found: usize,
-    /// Sum of the BDD node counts of every detected SCC (for the
-    /// average-SCC-size series; 0 when none were found).
+    /// Sum of the BDD node counts of every SCC counted in `sccs_found`
+    /// (for the average-SCC-size series; 0 when none were built).
     pub scc_nodes_total: usize,
     /// BDD node count of the final `p_ss` transition relation — the
     /// "total program size" series.
@@ -135,14 +137,14 @@ pub static STATS: &[Stat] = &[
     stat!(candidates: Count Counter, "stsyn_candidates_total", "Candidate groups considered", Some("candidates considered")),
     stat!(groups_added: Count Counter, "stsyn_groups_added_total", "Recovery groups added", Some("groups added")),
     stat!(finished_in_pass: Count Gauge, "stsyn_finished_in_pass", "Pass that removed the last deadlock", Some("finished in pass")),
-    stat!(scc_calls: Count Counter, "stsyn_scc_calls_total", "SCC decomposition calls", Some("SCC calls")),
-    stat!(sccs_found: Count Counter, "stsyn_sccs_found_total", "Non-trivial SCCs found", Some("SCCs found")),
-    stat!(scc_nodes_total: Nodes Counter, "stsyn_scc_nodes_total", "BDD nodes summed over every SCC found", None),
+    stat!(scc_calls: Count Counter, "stsyn_scc_calls_total", "Cycle checks of Identify_Resolve_Cycles", Some("SCC calls")),
+    stat!(sccs_found: Count Counter, "stsyn_sccs_found_total", "Non-trivial SCCs the cycle checks built", Some("SCCs found")),
+    stat!(scc_nodes_total: Nodes Counter, "stsyn_scc_nodes_total", "BDD nodes summed over every SCC the cycle checks built", None),
     stat!(program_nodes: Nodes Gauge, "stsyn_program_nodes", "Synthesized program size in BDD nodes", Some("program size")),
     stat!(peak_live_nodes: Nodes Gauge, "stsyn_peak_live_nodes", "Peak live BDD nodes", Some("peak live nodes")),
     stat!(bdd_ticks: Count Counter, "stsyn_bdd_ticks_total", "Budgeted BDD operations", Some("BDD ticks")),
     stat!(ranking_time: secs "ranking_secs", "stsyn_ranking_seconds", "Wall time of ComputeRanks", Some("ranking time")),
-    stat!(scc_time: secs "scc_secs", "stsyn_scc_seconds", "Wall time of SCC detection", Some("SCC detection time")),
+    stat!(scc_time: secs "scc_secs", "stsyn_scc_seconds", "Wall time of the cycle checks", Some("SCC detection time")),
     stat!(total_time: secs "total_secs", "stsyn_total_seconds", "Wall time of the whole run", Some("total time")),
     stat!(scan_time: secs "scan_secs", "stsyn_scan_seconds", "Wall time scanning candidates", None),
     stat!(deadlock_time: secs "deadlock_secs", "stsyn_deadlock_seconds", "Wall time recomputing deadlocks", None),

@@ -66,9 +66,9 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     // punctuation / operators
     LBrace,
@@ -113,6 +113,11 @@ impl<'a> Lexer<'a> {
         ParseError { line: self.line, message: msg.into() }
     }
 
+    /// The source text from `start` up to the current position.
+    fn text(&self, start: usize) -> &'a str {
+        std::str::from_utf8(&self.src[start..self.pos]).expect("tokens end on ASCII bytes")
+    }
+
     fn skip_ws(&mut self) {
         loop {
             while self.pos < self.src.len() {
@@ -140,7 +145,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next(&mut self) -> Result<(Tok, u32), ParseError> {
+    fn next(&mut self) -> Result<(Tok<'a>, u32), ParseError> {
         self.skip_ws();
         let line = self.line;
         if self.pos >= self.src.len() {
@@ -277,8 +282,7 @@ impl<'a> Lexer<'a> {
                 while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                Tok::Int(text.parse().map_err(|_| self.error("integer overflow"))?)
+                Tok::Int(self.text(start).parse().map_err(|_| self.error("integer overflow"))?)
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = self.pos;
@@ -287,7 +291,7 @@ impl<'a> Lexer<'a> {
                 {
                     self.pos += 1;
                 }
-                Tok::Ident(std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_string())
+                Tok::Ident(self.text(start))
             }
             other => return Err(self.error(format!("unexpected character `{}`", other as char))),
         };
@@ -295,17 +299,17 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, u32)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
     pos: usize,
     vars: Vec<VarDecl>,
-    var_names: HashMap<String, VarIdx>,
-    value_consts: HashMap<String, i64>,
+    var_names: HashMap<&'a str, VarIdx>,
+    value_consts: HashMap<&'a str, i64>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].0
     }
 
     fn line(&self) -> u32 {
@@ -316,15 +320,15 @@ impl Parser {
         ParseError { line: self.line(), message: msg.into() }
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].0;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Tok<'a>, what: &str) -> Result<(), ParseError> {
         if self.peek() == t {
             self.bump();
             Ok(())
@@ -333,7 +337,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => Err(ParseError {
@@ -363,7 +367,7 @@ impl Parser {
 
     fn parse_iff(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_implies()?;
-        while *self.peek() == Tok::Iff {
+        while self.peek() == Tok::Iff {
             self.bump();
             let rhs = self.parse_implies()?;
             lhs = Expr::Bin(BinOp::Iff, Box::new(lhs), Box::new(rhs));
@@ -373,7 +377,7 @@ impl Parser {
 
     fn parse_implies(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.parse_or()?;
-        if *self.peek() == Tok::Implies {
+        if self.peek() == Tok::Implies {
             self.bump();
             // right-associative
             let rhs = self.parse_implies()?;
@@ -385,7 +389,7 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_and()?;
-        while *self.peek() == Tok::OrOr {
+        while self.peek() == Tok::OrOr {
             self.bump();
             let rhs = self.parse_and()?;
             lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
@@ -395,7 +399,7 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_cmp()?;
-        while *self.peek() == Tok::AndAnd {
+        while self.peek() == Tok::AndAnd {
             self.bump();
             let rhs = self.parse_cmp()?;
             lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
@@ -473,16 +477,16 @@ impl Parser {
             Tok::Int(i) => Ok(Expr::Int(i)),
             Tok::LParen => {
                 let e = self.parse_expr()?;
-                self.expect(&Tok::RParen, "`)`")?;
+                self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }
-            Tok::Ident(name) => match name.as_str() {
+            Tok::Ident(name) => match name {
                 "true" => Ok(Expr::Bool(true)),
                 "false" => Ok(Expr::Bool(false)),
                 _ => {
-                    if let Some(v) = self.lookup_var(&name) {
+                    if let Some(v) = self.lookup_var(name) {
                         Ok(Expr::Var(v))
-                    } else if let Some(&c) = self.value_consts.get(&name) {
+                    } else if let Some(&c) = self.value_consts.get(name) {
                         Ok(Expr::Int(c))
                     } else {
                         Err(ParseError { line, message: format!("unknown identifier `{name}`") })
@@ -501,10 +505,10 @@ impl Parser {
             let line = self.line();
             let name = self.expect_ident("variable name")?;
             let v = self
-                .lookup_var(&name)
+                .lookup_var(name)
                 .ok_or(ParseError { line, message: format!("unknown variable `{name}`") })?;
             out.push(v);
-            if *self.peek() == Tok::Comma {
+            if self.peek() == Tok::Comma {
                 self.bump();
             } else {
                 break;
@@ -553,30 +557,30 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
 
     p.expect_keyword("protocol")?;
     let name = p.expect_ident("protocol name")?;
-    p.expect(&Tok::LBrace, "`{`")?;
+    p.expect(Tok::LBrace, "`{`")?;
 
     let mut processes: Vec<ProcessDecl> = Vec::new();
     let mut actions: Vec<Action> = Vec::new();
     let mut invariant: Option<Expr> = None;
 
     loop {
-        match p.peek().clone() {
+        match p.peek() {
             Tok::RBrace => {
                 p.bump();
                 break;
             }
-            Tok::Ident(kw) if kw == "var" => {
+            Tok::Ident("var") => {
                 p.bump();
                 let line = p.line();
                 let vname = p.expect_ident("variable name")?;
-                if p.var_names.contains_key(&vname) {
+                if p.var_names.contains_key(vname) {
                     return Err(ParseError {
                         line,
                         message: format!("variable `{vname}` declared twice"),
                     });
                 }
-                p.expect(&Tok::Colon, "`:`")?;
-                let decl = match p.peek().clone() {
+                p.expect(Tok::Colon, "`:`")?;
+                let decl = match p.peek() {
                     Tok::Int(lo) => {
                         p.bump();
                         if lo != 0 {
@@ -585,7 +589,7 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                                 message: "domains must start at 0 (`0..hi`)".into(),
                             });
                         }
-                        p.expect(&Tok::DotDot, "`..`")?;
+                        p.expect(Tok::DotDot, "`..`")?;
                         let hi = match p.bump() {
                             Tok::Int(h) => h,
                             other => {
@@ -598,7 +602,7 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                         if hi < 0 || hi > u32::MAX as i64 - 1 {
                             return Err(ParseError { line, message: "bad domain bound".into() });
                         }
-                        VarDecl::new(vname.clone(), hi as u32 + 1)
+                        VarDecl::new(vname, hi as u32 + 1)
                     }
                     Tok::LBrace => {
                         p.bump();
@@ -607,7 +611,7 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                             let nline = p.line();
                             let n = p.expect_ident("value name")?;
                             let val = names.len() as i64;
-                            match p.value_consts.get(&n) {
+                            match p.value_consts.get(n) {
                                 Some(&existing) if existing != val => {
                                     return Err(ParseError {
                                         line: nline,
@@ -617,19 +621,18 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                                     })
                                 }
                                 _ => {
-                                    p.value_consts.insert(n.clone(), val);
+                                    p.value_consts.insert(n, val);
                                 }
                             }
                             names.push(n);
-                            if *p.peek() == Tok::Comma {
+                            if p.peek() == Tok::Comma {
                                 p.bump();
                             } else {
                                 break;
                             }
                         }
-                        p.expect(&Tok::RBrace, "`}`")?;
-                        let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-                        VarDecl::with_names(vname.clone(), &name_refs)
+                        p.expect(Tok::RBrace, "`}`")?;
+                        VarDecl::with_names(vname, &names)
                     }
                     other => {
                         return Err(ParseError {
@@ -638,11 +641,11 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                         })
                     }
                 };
-                p.expect(&Tok::Semi, "`;`")?;
+                p.expect(Tok::Semi, "`;`")?;
                 p.var_names.insert(vname, VarIdx(p.vars.len()));
                 p.vars.push(decl);
             }
-            Tok::Ident(kw) if kw == "process" => {
+            Tok::Ident("process") => {
                 p.bump();
                 let pname = p.expect_ident("process name")?;
                 p.expect_keyword("reads")?;
@@ -654,16 +657,15 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                     .map_err(|e| ParseError { line, message: e.to_string() })?;
                 let proc_idx = ProcIdx(processes.len());
                 processes.push(decl);
-                p.expect(&Tok::LBrace, "`{`")?;
-                while *p.peek() != Tok::RBrace {
+                p.expect(Tok::LBrace, "`{`")?;
+                while p.peek() != Tok::RBrace {
                     // optional `Label:` prefix — an identifier followed by `:`
                     let mut label: Option<String> = None;
-                    if let Tok::Ident(id) = p.peek().clone() {
-                        if id != "when" && p.toks.get(p.pos + 1).map(|t| &t.0) == Some(&Tok::Colon)
-                        {
+                    if let Tok::Ident(id) = p.peek() {
+                        if id != "when" && p.toks.get(p.pos + 1).map(|t| t.0) == Some(Tok::Colon) {
                             p.bump();
                             p.bump();
-                            label = Some(id);
+                            label = Some(id.to_string());
                         }
                     }
                     p.expect_keyword("when")?;
@@ -673,28 +675,28 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                     loop {
                         let aline = p.line();
                         let tname = p.expect_ident("assignment target")?;
-                        let target = p.lookup_var(&tname).ok_or(ParseError {
+                        let target = p.lookup_var(tname).ok_or(ParseError {
                             line: aline,
                             message: format!("unknown variable `{tname}`"),
                         })?;
-                        p.expect(&Tok::Assign, "`:=`")?;
+                        p.expect(Tok::Assign, "`:=`")?;
                         let rhs = p.parse_expr()?;
                         assigns.push((target, rhs));
-                        if *p.peek() == Tok::Comma {
+                        if p.peek() == Tok::Comma {
                             p.bump();
                         } else {
                             break;
                         }
                     }
-                    p.expect(&Tok::Semi, "`;`")?;
+                    p.expect(Tok::Semi, "`;`")?;
                     actions.push(Action { process: proc_idx, guard, assigns, label });
                 }
-                p.expect(&Tok::RBrace, "`}`")?;
+                p.expect(Tok::RBrace, "`}`")?;
             }
-            Tok::Ident(kw) if kw == "invariant" => {
+            Tok::Ident("invariant") => {
                 p.bump();
                 let e = p.parse_expr()?;
-                p.expect(&Tok::Semi, "`;`")?;
+                p.expect(Tok::Semi, "`;`")?;
                 if invariant.is_some() {
                     return Err(p.error("duplicate `invariant`"));
                 }
@@ -721,7 +723,7 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
         .map_err(|e| ParseError { line: 0, message: format!("invariant: {e}") })?;
     let protocol = Protocol::new(p.vars, processes, actions)
         .map_err(|e| ParseError { line: 0, message: e.to_string() })?;
-    Ok(ParsedProtocol { name, protocol, invariant })
+    Ok(ParsedProtocol { name: name.to_string(), protocol, invariant })
 }
 
 #[cfg(test)]

@@ -190,12 +190,15 @@ impl Protocol {
                     }
                 }
             }
-            // Domain safety over every readable valuation.
-            let read_idxs: Vec<usize> = proc.reads.iter().map(|v| v.0).collect();
-            for valuation in self.space.valuations(&read_idxs) {
-                let mut probe: State = vec![0; self.vars.len()];
-                for (pos, &vi) in read_idxs.iter().enumerate() {
-                    probe[vi] = valuation[pos];
+            // Domain safety over every readable valuation, each written in
+            // place into one probe state (mixed radix over `r_j`).
+            let mut probe: State = vec![0; self.vars.len()];
+            let total: u64 = proc.reads.iter().map(|v| self.vars[v.0].domain as u64).product();
+            for mut k in 0..total {
+                for v in &proc.reads {
+                    let radix = self.vars[v.0].domain as u64;
+                    probe[v.0] = (k % radix) as u32;
+                    k /= radix;
                 }
                 if !a.guard.holds(&probe) {
                     continue;

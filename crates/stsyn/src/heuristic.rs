@@ -33,7 +33,7 @@ use stsyn_symbolic::check::{
     try_weak_convergence, weak_convergence,
 };
 use stsyn_symbolic::ranks::{try_compute_ranks_resumed, RankTable, RanksInterrupted};
-use stsyn_symbolic::scc::{try_has_cycle, try_scc_decomposition, SccAlgorithm};
+use stsyn_symbolic::scc::try_cyclic_groups;
 use stsyn_symbolic::SymbolicContext;
 
 /// What can stop a run short of its result: the BDD budget, or — in
@@ -251,39 +251,6 @@ impl Outcome {
     }
 }
 
-/// The SCCs of one decomposition, for the cycle-membership test that
-/// preprocessing and `Identify_Resolve_Cycles` share. Each SCC is renamed
-/// to the primed variables at most once, on first use.
-struct Sccs {
-    sccs: Vec<Bdd>,
-    primed: Vec<Option<Bdd>>,
-}
-
-impl Sccs {
-    fn new(sccs: Vec<Bdd>) -> Sccs {
-        Sccs { primed: vec![None; sccs.len()], sccs }
-    }
-
-    /// Does `rel` have a transition on a cycle, i.e. some `(s, s′)` with
-    /// `s` and `s′` in the same SCC?
-    fn cyclic(&mut self, ctx: &mut SymbolicContext, rel: Bdd) -> Result<bool, BddError> {
-        for (&scc, primed) in self.sccs.iter().zip(&mut self.primed) {
-            let scc_primed = match *primed {
-                Some(p) => p,
-                None => {
-                    let m = ctx.cur_to_primed();
-                    *primed.insert(ctx.mgr().try_rename(scc, m)?)
-                }
-            };
-            let inside = ctx.mgr().try_and(rel, scc)?;
-            if ctx.mgr().try_intersects(inside, scc_primed)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-}
-
 /// Preprocessing (§V): drop every group of `p` with a transition on a
 /// non-progress cycle of `δ_p | ¬I`. Returns the kept relation and the
 /// dropped groups. The paper's preprocessing exits when such a group has
@@ -294,18 +261,21 @@ fn preprocess(
     not_i: Bdd,
     delta_p: Bdd,
 ) -> Result<(Bdd, Vec<GroupDesc>), SynthesisError> {
-    let mut removed = Vec::new();
+    let groups = groups_of_protocol(ctx.protocol());
+    let rels = groups
+        .iter()
+        .map(|g| ctx.try_group_relation(g))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(in_setup(ctx))?;
     let restricted = ctx.try_restrict_relation(delta_p, not_i).map_err(in_setup(ctx))?;
-    if !try_has_cycle(ctx, restricted, not_i).map_err(in_setup(ctx))? {
+    let check = try_cyclic_groups(ctx, restricted, not_i, &rels).map_err(in_setup(ctx))?;
+    let mut removed = Vec::new();
+    if !check.cyclic.contains(&true) {
         return Ok((delta_p, removed));
     }
-    let sccs = try_scc_decomposition(ctx, restricted, not_i, SccAlgorithm::Skeleton)
-        .map_err(in_setup(ctx))?;
-    let mut sccs = Sccs::new(sccs);
     let mut keep = Bdd::FALSE;
-    for g in groups_of_protocol(ctx.protocol()) {
-        let rel = ctx.try_group_relation(&g).map_err(in_setup(ctx))?;
-        if !sccs.cyclic(ctx, rel).map_err(in_setup(ctx))? {
+    for ((g, rel), cyclic) in groups.into_iter().zip(rels).zip(check.cyclic) {
+        if !cyclic {
             keep = ctx.mgr().try_or(keep, rel).map_err(in_setup(ctx))?;
             continue;
         }
@@ -556,45 +526,42 @@ impl Engine {
         } else {
             clusters = picked.into_iter().map(|ci| vec![ci]).collect();
         }
+        let mut cluster_rels = Vec::with_capacity(clusters.len());
         let mut union_added = Bdd::FALSE;
         for cluster in &clusters {
-            for &ci in cluster {
-                let rel = self.cands.all[ci].relation;
-                union_added = self.ctx.mgr().try_or(union_added, rel)?;
+            let mut rel = self.cands.all[cluster[0]].relation;
+            for &ci in &cluster[1..] {
+                rel = self.ctx.mgr().try_or(rel, self.cands.all[ci].relation)?;
             }
+            union_added = self.ctx.mgr().try_or(union_added, rel)?;
+            cluster_rels.push(rel);
         }
         self.stats.scan_time += scan_start.elapsed();
         if clusters.is_empty() {
             return Ok(false);
         }
-        // Identify_Resolve_Cycles: SCCs of (pss ∪ added) | ¬I. The pss
-        // part of the restriction is maintained incrementally.
+        // Identify_Resolve_Cycles over (pss ∪ added) | ¬I, whose pss part
+        // is maintained incrementally. badTrans: a whole cluster is
+        // dropped if any member has a transition inside an SCC.
         let added_restricted = self.ctx.try_restrict_relation(union_added, self.not_i)?;
         let restricted = self.ctx.mgr().try_or(self.pss_restricted, added_restricted)?;
         let scc_start = Instant::now();
-        let sccs =
-            try_scc_decomposition(&mut self.ctx, restricted, self.not_i, SccAlgorithm::Skeleton)?;
+        let check = try_cyclic_groups(&mut self.ctx, restricted, self.not_i, &cluster_rels)?;
         self.stats.scc_time += scc_start.elapsed();
         self.stats.scc_calls += 1;
-        self.stats.sccs_found += sccs.len();
-        for &scc in &sccs {
+        self.stats.sccs_found += check.sccs.len();
+        for &scc in &check.sccs {
             self.stats.scc_nodes_total += self.ctx.mgr_ref().node_count(scc);
         }
-        // badTrans: added groups with a transition inside some SCC; a
-        // whole cluster is dropped if any member participates in a cycle.
         let include_start = Instant::now();
-        let mut sccs = Sccs::new(sccs);
         let tried = clusters.len();
         let mut kept = 0usize;
         let mut kept_cis: Vec<usize> = Vec::new();
-        'cluster: for cluster in clusters {
-            for &ci in &cluster {
-                if sccs.cyclic(&mut self.ctx, self.cands.all[ci].relation)? {
-                    continue 'cluster; // participates in a cycle: drop it
-                }
+        for (cluster, cyclic) in clusters.into_iter().zip(check.cyclic) {
+            if !cyclic {
+                kept_cis.extend(cluster);
+                kept += 1;
             }
-            kept_cis.extend(cluster);
-            kept += 1;
         }
         // When every cluster survived, the kept union is `union_added`,
         // whose `¬I` restriction is already at hand.

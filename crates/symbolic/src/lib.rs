@@ -13,11 +13,13 @@
 //! * [`ranks`] — `ComputeRanks` (Fig. 2): the rank layering of `¬I` that
 //!   both decides weak stabilization (Theorem IV.1) and guides the
 //!   heuristic,
-//! * [`scc`] — symbolic SCC decomposition: the skeleton-based SCC-Find of
-//!   Gentilini–Piazza–Policriti (the algorithm the paper's
-//!   `Detect_SCC` implements), plus the lockstep and Xie–Beerel
-//!   algorithms for cross-validation and ablation, plus a cheap
-//!   trimming-based cycle-existence test,
+//! * [`scc`] — the cycle check `Identify_Resolve_Cycles` runs (which
+//!   groups have a transition inside a non-trivial SCC, building only the
+//!   SCCs that decide it), a cheap trimming-based cycle-existence test,
+//!   and full symbolic SCC decomposition: the skeleton-based SCC-Find of
+//!   Gentilini–Piazza–Policriti (the algorithm the paper's `Detect_SCC`
+//!   implements) plus the lockstep and Xie–Beerel algorithms for
+//!   cross-validation and ablation,
 //! * [`check`] — symbolic closure / deadlock / strong- and weak-
 //!   convergence checking (Proposition II.1), used to *verify* every
 //!   synthesized protocol,
