@@ -385,10 +385,11 @@ impl Manager {
     }
 
     /// Deep structural consistency check, intended for use after a failed
-    /// or interrupted computation (it is `O(live nodes)` and allocates).
+    /// or interrupted computation (it is `O(arena)` and allocates).
     ///
     /// Verifies:
-    /// * the unique table and the node arena agree, and every node's
+    /// * the unique table and the node arena agree (every indexed node is
+    ///   found by its own key, and none is indexed twice), and every node's
     ///   variable sits strictly above its children's in the current order,
     /// * every arena slot is accounted for exactly once (terminal, live in
     ///   the unique table, or on the free list),
@@ -421,7 +422,11 @@ impl Manager {
                 cap
             ));
         }
-        for &idx in self.unique.values() {
+        let mut indexed: FxHashSet<u32> = FxHashSet::default();
+        for idx in self.unique.iter() {
+            if !indexed.insert(idx) {
+                return Err(format!("slot {idx} appears twice in the unique table"));
+            }
             if free_set.contains(&idx) {
                 return Err(format!("slot {idx} is both live (unique table) and free"));
             }

@@ -1,11 +1,15 @@
-//! A fast, non-cryptographic hasher for the unique table and operation
-//! caches.
+//! A fast, non-cryptographic hasher for the crate's auxiliary maps: the
+//! per-call memos and visited sets of `sat_count`, `cofactor`,
+//! `node_count`, `support`, DOT export, the minimizers and the consistency
+//! check, and the interning of varsets and rename maps.
 //!
-//! The default `std` hasher (SipHash) is DoS-resistant but several times
-//! slower than necessary for the hot hash-consing path of a BDD package.
-//! This is a minimal re-implementation of the multiply–rotate–xor scheme
-//! popularized by rustc's `FxHasher`; keys here are short tuples of `u32`s
-//! produced internally, so DoS resistance is irrelevant.
+//! The unique table and the computed table do not use it: they are flat
+//! arrays that hash with the same multiply–rotate–xor step themselves
+//! (`table.rs`). The default `std` hasher (SipHash) is DoS-resistant but
+//! several times slower than necessary here. This is a minimal
+//! re-implementation of the scheme popularized by rustc's `FxHasher`; keys
+//! are short tuples of `u32`s produced internally, so DoS resistance is
+//! irrelevant.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -8,6 +8,7 @@
 //! * a hash-consed **unique table** guaranteeing canonicity (reduced ordered
 //!   BDDs — equality is pointer equality),
 //! * memoized boolean operations (`and`, `or`, `xor`, `not`, `ite`, ...),
+//!   sharing one bounded, lossy **computed table**,
 //! * **quantification** (`exists`, `forall`) and the fused **relational
 //!   product** `and_exists` used for image/preimage computation,
 //! * order-preserving **variable renaming** (current-state ↔ next-state),
@@ -34,6 +35,15 @@
 //! the synthesizer interleaves current and primed state variables (`x` at
 //! level `2i`, `x'` at level `2i+1`) which keeps frame conditions
 //! (`x' = x`) linear in size.
+//!
+//! Two flat tables sit beside the arena, both sized from it, as in CUDD.
+//! The unique table is open-addressed over arena indices and compares keys
+//! by reading the nodes, at a load of at most one half. The computed table
+//! is one direct-mapped array of `(op, a, b, c) → r` entries for every
+//! memoized operation (at least one entry per arena slot, from 2^12 up to
+//! 2^23); a colliding insert overwrites the old entry. Memory therefore
+//! grows with the number of nodes, not with the number of operations, and
+//! a forgotten result only costs a recomputation.
 //!
 //! ## Example
 //!
@@ -65,6 +75,7 @@ mod quant;
 mod rename;
 mod reorder;
 mod serialize;
+mod table;
 mod varset;
 
 pub use budget::{BddError, Budget, Resource};

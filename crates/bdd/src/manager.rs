@@ -1,7 +1,8 @@
-//! The BDD manager: node arena, hash-consing unique table, variable
-//! allocation, and mark-and-sweep garbage collection.
+//! The BDD manager: node arena, hash-consing unique table, computed
+//! table, variable allocation, and mark-and-sweep garbage collection.
 
 use crate::hash::FxHashMap;
+use crate::table::{ComputedTable, Op, UniqueTable};
 use stsyn_obs::{Json, TraceLevel, Tracer};
 
 /// A BDD variable, identified by its *level* (position in the global
@@ -63,7 +64,7 @@ impl Bdd {
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
 /// One decision node: `if var then hi else lo`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Node {
     pub var: u32,
     pub lo: u32,
@@ -84,8 +85,9 @@ pub struct ManagerStats {
     pub gc_runs: usize,
     /// Number of boolean variables created.
     pub num_vars: usize,
-    /// Memoization-cache probes across all operation caches (apply/ITE/
-    /// not/exists/and-exists/rename).
+    /// Computed-table probes by every memoized operation (apply/ITE/not/
+    /// exists/and-exists/rename/intersects). The table is lossy, so a
+    /// result it forgot is recomputed and probed for again.
     pub cache_lookups: u64,
     /// Probes that hit (the paper's workloads live or die by this rate).
     pub cache_hits: u64,
@@ -103,7 +105,7 @@ impl ManagerStats {
 }
 
 /// Tags for the memoized binary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BinOp {
     And,
     Or,
@@ -115,7 +117,7 @@ pub(crate) enum BinOp {
 /// create nodes and populate caches).
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<(u32, u32, u32), u32>,
+    pub(crate) unique: UniqueTable,
     pub(crate) free: Vec<u32>,
     num_vars: u32,
     /// Variable → level (position in the order). Identity until the first
@@ -128,13 +130,8 @@ pub struct Manager {
     /// a reorder (their cached level information would be stale).
     pub(crate) order_generation: u32,
 
-    // Operation caches (cleared on GC).
-    pub(crate) bin_cache: FxHashMap<(BinOp, u32, u32), u32>,
-    pub(crate) not_cache: FxHashMap<u32, u32>,
-    pub(crate) ite_cache: FxHashMap<(u32, u32, u32), u32>,
-    pub(crate) exists_cache: FxHashMap<(u32, u32), u32>,
-    pub(crate) and_exists_cache: FxHashMap<(u32, u32, u32), u32>,
-    pub(crate) rename_cache: FxHashMap<(u32, u32), u32>,
+    /// Memo of every operation (cleared on GC and reordering).
+    pub(crate) computed: ComputedTable,
 
     // Interned variable sets / rename maps (survive GC).
     pub(crate) varsets: Vec<Vec<u32>>,
@@ -170,18 +167,13 @@ impl Manager {
         ];
         Manager {
             nodes: terminals,
-            unique: FxHashMap::default(),
+            unique: UniqueTable::new(),
             free: Vec::new(),
             num_vars: 0,
             perm: Vec::new(),
             invperm: Vec::new(),
             order_generation: 0,
-            bin_cache: FxHashMap::default(),
-            not_cache: FxHashMap::default(),
-            ite_cache: FxHashMap::default(),
-            exists_cache: FxHashMap::default(),
-            and_exists_cache: FxHashMap::default(),
-            rename_cache: FxHashMap::default(),
+            computed: ComputedTable::new(),
             varsets: Vec::new(),
             varset_ids: FxHashMap::default(),
             renames: Vec::new(),
@@ -284,22 +276,27 @@ impl Manager {
             self.level(lo),
             self.level(hi),
         );
-        let key = (var, lo.0, hi.0);
-        if let Some(&idx) = self.unique.get(&key) {
-            return Bdd(idx);
-        }
+        let node = Node { var, lo: lo.0, hi: hi.0 };
+        let vacant = match self.unique.find(&self.nodes, node) {
+            Ok(idx) => return Bdd(idx),
+            Err(vacant) => vacant,
+        };
         let idx = match self.free.pop() {
             Some(slot) => {
-                self.nodes[slot as usize] = Node { var, lo: lo.0, hi: hi.0 };
+                self.nodes[slot as usize] = node;
                 slot
             }
             None => {
                 let slot = u32::try_from(self.nodes.len()).expect("BDD arena overflow (>4G nodes)");
-                self.nodes.push(Node { var, lo: lo.0, hi: hi.0 });
+                self.nodes.push(node);
                 slot
             }
         };
-        self.unique.insert(key, idx);
+        self.unique.insert_at(vacant, idx);
+        // Both tables are sized from the arena, which grows when no slot
+        // was free.
+        self.unique.fit(&self.nodes);
+        self.computed.fit(self.nodes.len());
         let live = self.live_nodes();
         if live > self.peak_live {
             self.peak_live = live;
@@ -368,6 +365,23 @@ impl Manager {
         }
     }
 
+    /// Probe the computed table for `(op, a, b, c)`, counting the lookup
+    /// and, if the entry is still there, the hit.
+    #[inline]
+    pub(crate) fn cached(&mut self, op: Op, a: u32, b: u32, c: u32) -> Option<Bdd> {
+        self.cache_lookups += 1;
+        let r = self.computed.get(op, a, b, c)?;
+        self.cache_hits += 1;
+        Some(Bdd(r))
+    }
+
+    /// Memoize `(op, a, b, c) → r` in the computed table.
+    #[inline]
+    pub(crate) fn memo(&mut self, op: Op, a: u32, b: u32, c: u32, r: Bdd) -> Bdd {
+        self.computed.insert(op, a, b, c, r.0);
+        r
+    }
+
     /// Install a tracer; BDD-layer events (GC, reorder, budget
     /// degradation) flow through it. The default is the disabled tracer,
     /// whose hooks are single `Option` checks.
@@ -397,8 +411,9 @@ impl Manager {
     ///
     /// Everything reachable from `roots` survives; every other node's slot
     /// is recycled through a free list, so **surviving handles remain
-    /// valid** (no compaction). All operation caches are dropped. Returns
-    /// the number of freed nodes.
+    /// valid** (no compaction). The unique table is rebuilt from the mark
+    /// bitmap and the computed table is cleared. Returns the number of
+    /// freed nodes.
     pub fn gc(&mut self, roots: &[Bdd]) -> usize {
         let cap = self.nodes.len();
         let mut marked = vec![false; cap];
@@ -425,7 +440,8 @@ impl Manager {
             }
         }
         let before = self.unique.len();
-        self.unique.retain(|_, &mut idx| marked[idx as usize]);
+        let live = (2..cap as u32).filter(|&idx| marked[idx as usize]);
+        self.unique.rebuild(&self.nodes, live);
         let freed = before - self.unique.len();
         // Rebuild the free list from scratch: a slot is free iff it is
         // unmarked and not already an (unreused) free slot. Recomputing from
@@ -436,12 +452,7 @@ impl Manager {
                 self.free.push(idx as u32);
             }
         }
-        self.bin_cache.clear();
-        self.not_cache.clear();
-        self.ite_cache.clear();
-        self.exists_cache.clear();
-        self.and_exists_cache.clear();
-        self.rename_cache.clear();
+        self.computed.clear();
         self.gc_runs += 1;
         if self.tracer.level_enabled(TraceLevel::Info) {
             self.tracer.info(

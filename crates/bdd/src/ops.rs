@@ -9,6 +9,7 @@
 
 use crate::budget::{expect_budget, BddError};
 use crate::manager::{Bdd, BinOp, Manager};
+use crate::table::Op;
 
 impl Manager {
     /// Negation `¬f`.
@@ -26,17 +27,14 @@ impl Manager {
         if f.is_true() {
             return Ok(Bdd::FALSE);
         }
-        self.cache_lookups += 1;
-        if let Some(&r) = self.not_cache.get(&f.0) {
-            self.cache_hits += 1;
-            return Ok(Bdd(r));
+        if let Some(r) = self.cached(Op::Not, f.0, 0, 0) {
+            return Ok(r);
         }
         let n = self.node(f);
         let lo = self.try_not(Bdd(n.lo))?;
         let hi = self.try_not(Bdd(n.hi))?;
         let r = self.mk(n.var, lo, hi);
-        self.not_cache.insert(f.0, r.0);
-        Ok(r)
+        Ok(self.memo(Op::Not, f.0, 0, 0, r))
     }
 
     /// Conjunction `f ∧ g`.
@@ -175,11 +173,8 @@ impl Manager {
         if f == h {
             return self.try_and(f, g); // ite(f,g,f) = f ∧ g
         }
-        let key = (f.0, g.0, h.0);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.ite_cache.get(&key) {
-            self.cache_hits += 1;
-            return Ok(Bdd(r));
+        if let Some(r) = self.cached(Op::Ite, f.0, g.0, h.0) {
+            return Ok(r);
         }
         let top = self.level(f).min(self.level(g)).min(self.level(h));
         let (f0, f1) = self.cofactors_at(f, top);
@@ -188,8 +183,7 @@ impl Manager {
         let lo = self.try_ite(f0, g0, h0)?;
         let hi = self.try_ite(f1, g1, h1)?;
         let r = self.mk_level(top, lo, hi);
-        self.ite_cache.insert(key, r.0);
-        Ok(r)
+        Ok(self.memo(Op::Ite, f.0, g.0, h.0, r))
     }
 
     /// Does `f ⇒ g` hold for all assignments? (Set inclusion when BDDs
@@ -215,8 +209,8 @@ impl Manager {
     /// Fallible intersection-non-emptiness test. Walks the cofactor pairs
     /// of `f ∧ g` and stops at the first one that is satisfiable, so it
     /// builds nothing. A memoized `f ∧ g` answers at once; a pair found
-    /// disjoint is recorded in the AND cache as `f ∧ g = false`, which is
-    /// exactly the conjunction's value, so later `and` calls hit it too.
+    /// disjoint is memoized as `f ∧ g = false`, which is exactly the
+    /// conjunction's value, so later `and` calls hit it too.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_intersects(&mut self, mut f: Bdd, mut g: Bdd) -> Result<bool, BddError> {
         self.tick()?;
@@ -230,11 +224,8 @@ impl Manager {
         if f.0 > g.0 {
             std::mem::swap(&mut f, &mut g);
         }
-        let key = (BinOp::And, f.0, g.0);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.bin_cache.get(&key) {
-            self.cache_hits += 1;
-            return Ok(!Bdd(r).is_false());
+        if let Some(r) = self.cached(Op::And, f.0, g.0, 0) {
+            return Ok(!r.is_false());
         }
         let top = self.level(f).min(self.level(g));
         let (f0, f1) = self.cofactors_at(f, top);
@@ -242,7 +233,7 @@ impl Manager {
         if self.try_intersects(f0, g0)? || self.try_intersects(f1, g1)? {
             return Ok(true);
         }
-        self.bin_cache.insert(key, Bdd::FALSE.0);
+        self.memo(Op::And, f.0, g.0, 0, Bdd::FALSE);
         Ok(false)
     }
 
@@ -312,11 +303,8 @@ impl Manager {
         if f.0 > g.0 {
             std::mem::swap(&mut f, &mut g);
         }
-        let key = (op, f.0, g.0);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.bin_cache.get(&key) {
-            self.cache_hits += 1;
-            return Ok(Bdd(r));
+        if let Some(r) = self.cached(op.into(), f.0, g.0, 0) {
+            return Ok(r);
         }
         let top = self.level(f).min(self.level(g));
         let (f0, f1) = self.cofactors_at(f, top);
@@ -324,8 +312,7 @@ impl Manager {
         let lo = self.apply_bin(op, f0, g0)?;
         let hi = self.apply_bin(op, f1, g1)?;
         let r = self.mk_level(top, lo, hi);
-        self.bin_cache.insert(key, r.0);
-        Ok(r)
+        Ok(self.memo(op.into(), f.0, g.0, 0, r))
     }
 }
 

@@ -6,6 +6,7 @@
 
 use crate::budget::{expect_budget, BddError};
 use crate::manager::{Bdd, Manager};
+use crate::table::Op;
 use crate::varset::VarSetId;
 
 impl Manager {
@@ -63,11 +64,8 @@ impl Manager {
         if cursor == levels.len() {
             return Ok(f); // no quantified variable occurs in f
         }
-        let key = (f.0, vars.idx);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.exists_cache.get(&key) {
-            self.cache_hits += 1;
-            return Ok(Bdd(r));
+        if let Some(r) = self.cached(Op::Exists, f.0, vars.idx, 0) {
+            return Ok(r);
         }
         let quantify_here = self.varsets[vars.idx as usize][cursor] == top;
         let n = self.node(f);
@@ -84,8 +82,7 @@ impl Manager {
             let hi = self.exists_rec(Bdd(n.hi), vars, cursor)?;
             self.mk_level(top, lo, hi)
         };
-        self.exists_cache.insert(key, r.0);
-        Ok(r)
+        Ok(self.memo(Op::Exists, f.0, vars.idx, 0, r))
     }
 
     fn and_exists_rec(
@@ -120,11 +117,8 @@ impl Manager {
                 return self.try_and(f, g);
             }
         }
-        let key = (f.0, g.0, vars.idx);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.and_exists_cache.get(&key) {
-            self.cache_hits += 1;
-            return Ok(Bdd(r));
+        if let Some(r) = self.cached(Op::AndExists, f.0, g.0, vars.idx) {
+            return Ok(r);
         }
         let quantify_here = self.varsets[vars.idx as usize][cursor] == top;
         let (f0, f1) = self.cofactors_at(f, top);
@@ -142,8 +136,7 @@ impl Manager {
             let hi = self.and_exists_rec(f1, g1, vars, cursor)?;
             self.mk_level(top, lo, hi)
         };
-        self.and_exists_cache.insert(key, r.0);
-        Ok(r)
+        Ok(self.memo(Op::AndExists, f.0, g.0, vars.idx, r))
     }
 }
 

@@ -9,6 +9,7 @@
 //! case) substitution is needed.
 
 use crate::manager::{Bdd, Manager, VarId};
+use crate::table::Op;
 
 /// Identity of an interned rename map (a partial variable map that is
 /// strictly monotone with respect to the current order). Like varsets,
@@ -90,11 +91,8 @@ impl Manager {
         if f.is_const() {
             return Ok(f);
         }
-        let key = (f.0, map.idx);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.rename_cache.get(&key) {
-            self.cache_hits += 1;
-            return Ok(Bdd(r));
+        if let Some(r) = self.cached(Op::Rename, f.0, map.idx, 0) {
+            return Ok(r);
         }
         let n = self.node(f);
         let lo = self.rename_rec(Bdd(n.lo), map)?;
@@ -105,8 +103,7 @@ impl Manager {
             Err(_) => n.var,
         };
         let r = self.mk(new_var, lo, hi);
-        self.rename_cache.insert(key, r.0);
-        Ok(r)
+        Ok(self.memo(Op::Rename, f.0, map.idx, 0, r))
     }
 }
 

@@ -16,7 +16,7 @@
 //!   generation is bumped and any use of a stale id panics with a clear
 //!   message. Re-intern after sifting.
 //! * The implementation favours clarity over raw speed: finding the nodes
-//!   of a level scans the unique table (`O(live nodes)` per swap), which
+//!   of a level scans the unique table (`O(arena)` per swap), which
 //!   is fine for the analysis workloads it targets; production CUDD keeps
 //!   per-level lists.
 
@@ -54,14 +54,10 @@ impl Manager {
         let affected: Vec<u32> = self
             .unique
             .iter()
-            .filter_map(|(&(var, lo, hi), &idx)| {
-                if var == x
-                    && (self.nodes[lo as usize].var == y || self.nodes[hi as usize].var == y)
-                {
-                    Some(idx)
-                } else {
-                    None
-                }
+            .filter(|&idx| {
+                let n = self.nodes[idx as usize];
+                n.var == x
+                    && (self.nodes[n.lo as usize].var == y || self.nodes[n.hi as usize].var == y)
             })
             .collect();
 
@@ -91,16 +87,17 @@ impl Manager {
             debug_assert_ne!(a, b, "swap produced a redundant node");
             // Rewrite idx in place as a y-node; the index keeps denoting
             // the same function, so parents and external handles survive.
-            self.unique.remove(&(x, f0, f1));
+            // It leaves the unique table under its old key and re-enters
+            // under the new one.
+            self.unique.remove(&self.nodes, idx);
             self.nodes[idx as usize] = Node { var: y, lo: a.index(), hi: b.index() };
-            let clash = self.unique.insert((y, a.index(), b.index()), idx);
-            debug_assert!(clash.is_none(), "swap collision: duplicate (y, a, b) node");
+            self.unique.insert(&self.nodes, idx);
         }
         // Level information changed: structural caches keyed by varset or
         // rename ids would be stale; conservative flush. (Pure node-index
         // caches — and/or/not/ite — remain valid because node functions
         // are preserved, but we flush everything for simplicity.)
-        self.clear_op_caches();
+        self.computed.clear();
         self.unique.len() as isize - before
     }
 
@@ -119,8 +116,11 @@ impl Manager {
             // standard heuristic: big levels first.
             let mut occupancy: Vec<(usize, VarId)> = (0..n)
                 .map(|v| {
-                    let count =
-                        self.unique.keys().filter(|&&(var, _, _)| var as usize == v).count();
+                    let count = self
+                        .unique
+                        .iter()
+                        .filter(|&idx| self.nodes[idx as usize].var as usize == v)
+                        .count();
                     (count, VarId(v as u32))
                 })
                 .collect();
@@ -134,7 +134,7 @@ impl Manager {
         self.varset_ids.clear();
         self.renames.clear();
         self.rename_ids.clear();
-        self.clear_op_caches();
+        self.computed.clear();
         self.gc(roots);
         let after = self.node_count_many(roots);
         self.trace_reorder("sift", before, after);
@@ -221,8 +221,14 @@ impl Manager {
         let mut occupancy: Vec<(usize, VarId, VarId)> = pairs
             .iter()
             .map(|&(c, p)| {
-                let count =
-                    self.unique.keys().filter(|&&(var, _, _)| var == c.0 || var == p.0).count();
+                let count = self
+                    .unique
+                    .iter()
+                    .filter(|&idx| {
+                        let var = self.nodes[idx as usize].var;
+                        var == c.0 || var == p.0
+                    })
+                    .count();
                 (count, c, p)
             })
             .collect();
@@ -243,7 +249,7 @@ impl Manager {
         for (idx, levels) in self.varsets.iter().enumerate() {
             self.varset_ids.insert(levels.clone(), idx as u32);
         }
-        self.clear_op_caches();
+        self.computed.clear();
         self.gc(roots);
         let after = self.node_count_many(roots);
         self.trace_reorder("sift_pairs", before, after);
@@ -330,18 +336,9 @@ impl Manager {
         self.varset_ids.clear();
         self.renames.clear();
         self.rename_ids.clear();
-        self.clear_op_caches();
+        self.computed.clear();
         self.gc(roots);
         debug_assert_eq!(self.current_order(), target);
-    }
-
-    pub(crate) fn clear_op_caches(&mut self) {
-        self.bin_cache.clear();
-        self.not_cache.clear();
-        self.ite_cache.clear();
-        self.exists_cache.clear();
-        self.and_exists_cache.clear();
-        self.rename_cache.clear();
     }
 
     /// The current variable order, top to bottom (for diagnostics).
@@ -349,20 +346,21 @@ impl Manager {
         self.invperm.iter().map(|&v| VarId(v)).collect()
     }
 
-    /// Sanity check (used by tests): every node's variable sits strictly
-    /// above its children's in the current order.
+    /// Sanity check (used by tests): every node in the unique table is
+    /// found by its own key, and its variable sits strictly above its
+    /// children's in the current order.
     pub fn check_order_invariant(&self) -> bool {
-        self.unique.iter().all(|(&(var, lo, hi), &idx)| {
-            let n = &self.nodes[idx as usize];
-            if n.var != var || n.lo != lo || n.hi != hi {
+        self.unique.iter().all(|idx| {
+            let n = self.nodes[idx as usize];
+            if self.unique.find(&self.nodes, n) != Ok(idx) {
                 return false; // unique table out of sync
             }
-            let level = self.perm[var as usize];
+            let level = self.perm[n.var as usize];
             let ok = |child: u32| {
                 let cv = self.nodes[child as usize].var;
                 cv == TERMINAL_LEVEL || self.perm[cv as usize] > level
             };
-            ok(lo) && ok(hi)
+            ok(n.lo) && ok(n.hi)
         })
     }
 }

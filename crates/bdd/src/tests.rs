@@ -206,3 +206,301 @@ fn sat_count_random_cross_check() {
         assert_eq!(m.sat_count(f, 5), expect as f64);
     }
 }
+
+/// A truth table over [`TT_VARS`] variables: bit `a` of the table is the
+/// value at the assignment whose bit `i` is variable `i`.
+type Tt = [u64; 16];
+
+const TT_VARS: usize = 10;
+const LOW: usize = TT_VARS / 2;
+
+/// The table of variable `v`.
+fn tt_var(v: usize) -> Tt {
+    const IN_WORD: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    std::array::from_fn(|w| match v {
+        0..6 => IN_WORD[v],
+        _ if (w >> (v - 6)) & 1 == 1 => u64::MAX,
+        _ => 0,
+    })
+}
+
+fn tt_zip(f: &Tt, g: &Tt, op: impl Fn(u64, u64) -> u64) -> Tt {
+    std::array::from_fn(|w| op(f[w], g[w]))
+}
+
+/// `∃v. t`: each assignment takes the OR of its two `v`-cofactors.
+fn tt_exists(t: &Tt, v: usize) -> Tt {
+    std::array::from_fn(|w| {
+        let flipped = match v {
+            0..6 => {
+                let (hi, s) = (tt_var(v)[0], 1 << v);
+                ((t[w] & hi) >> s) | ((t[w] & !hi) << s)
+            }
+            _ => t[w ^ (1 << (v - 6))],
+        };
+        t[w] | flipped
+    })
+}
+
+/// `t` with its variables fed from others: variable `i` of `t` reads
+/// variable `from[i]` of the result's assignment.
+fn tt_substitute(t: &Tt, from: &[usize]) -> Tt {
+    let mut r = [0u64; 16];
+    for a in 0..1usize << TT_VARS {
+        let b = (0..TT_VARS).filter(|&i| (a >> from[i]) & 1 == 1).fold(0, |b, i| b | 1 << i);
+        if (t[b / 64] >> (b % 64)) & 1 == 1 {
+            r[a / 64] |= 1 << (a % 64);
+        }
+    }
+    r
+}
+
+/// The truth table of an oracle.
+fn tt_from(oracle: &dyn Fn(&[bool]) -> bool) -> Tt {
+    let mut t = [0u64; 16];
+    for (a, asg) in assignments(TT_VARS).iter().enumerate() {
+        if oracle(asg) {
+            t[a / 64] |= 1 << (a % 64);
+        }
+    }
+    t
+}
+
+/// The truth table of a BDD, memoized per node in `memo`.
+fn tt_of(m: &Manager, f: Bdd, memo: &mut std::collections::HashMap<Bdd, Tt>) -> Tt {
+    if f.is_const() {
+        return [if f.is_true() { u64::MAX } else { 0 }; 16];
+    }
+    if let Some(t) = memo.get(&f) {
+        return *t;
+    }
+    let lo = tt_of(m, m.node_lo(f), memo);
+    let hi = tt_of(m, m.node_hi(f), memo);
+    let x = tt_var(m.node_var(f).0 as usize);
+    let t = std::array::from_fn(|w| (x[w] & hi[w]) | (!x[w] & lo[w]));
+    memo.insert(f, t);
+    t
+}
+
+/// Seeds per table test; CI runs a wider sweep in release mode.
+fn table_seeds() -> u64 {
+    std::env::var("BDD_TABLE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(3)
+}
+
+/// One memoized call of the computed-table differential test: operator,
+/// up to three operands, and a varset (or rename direction) index.
+#[derive(Clone, Copy)]
+struct Call {
+    op: u64,
+    f: Bdd,
+    g: Bdd,
+    h: Bdd,
+    k: usize,
+}
+
+/// The varsets, rename maps and truth-table shapes a [`Call`] indexes.
+struct Vocabulary {
+    /// Random varsets and their members.
+    sets: Vec<(crate::VarSetId, Vec<usize>)>,
+    /// Per direction (low → high, high → low): the half to quantify away
+    /// first, so the map preserves order on what is left, and its members.
+    away: [(crate::VarSetId, Vec<usize>); 2],
+    maps: [crate::RenameId; 2],
+    /// Per direction: where each variable of the renamed function reads.
+    from: [Vec<usize>; 2],
+}
+
+impl Vocabulary {
+    fn new(m: &mut Manager, vars: &[VarId], rng: &mut Lcg) -> Self {
+        let set = |m: &mut Manager, q: Vec<usize>| {
+            let ids: Vec<VarId> = q.iter().map(|&i| vars[i]).collect();
+            (m.varset(&ids), q)
+        };
+        let sets = (0..6)
+            .map(|_| set(m, (0..TT_VARS).filter(|_| rng.next().is_multiple_of(3)).collect()))
+            .collect();
+        let away = [set(m, (LOW..TT_VARS).collect()), set(m, (0..LOW).collect())];
+        let up: Vec<(VarId, VarId)> = (0..LOW).map(|i| (vars[i], vars[i + LOW])).collect();
+        let down: Vec<(VarId, VarId)> = up.iter().map(|&(a, b)| (b, a)).collect();
+        Vocabulary {
+            sets,
+            away,
+            maps: [m.rename_map(&up), m.rename_map(&down)],
+            from: [
+                (0..TT_VARS).map(|i| if i < LOW { i + LOW } else { i }).collect(),
+                (0..TT_VARS).map(|i| if i >= LOW { i - LOW } else { i }).collect(),
+            ],
+        }
+    }
+
+    /// Run `c` on the manager.
+    fn apply(&self, m: &mut Manager, c: Call) -> Bdd {
+        let set = self.sets[c.k % self.sets.len()].0;
+        let d = c.k % 2;
+        match c.op {
+            0 => m.and(c.f, c.g),
+            1 => m.or(c.f, c.g),
+            2 => m.xor(c.f, c.g),
+            3 => m.not(c.f),
+            4 => m.ite(c.f, c.g, c.h),
+            5 => m.exists(c.f, set),
+            6 => m.and_exists(c.f, c.g, set),
+            7 => {
+                let e = m.exists(c.f, self.away[d].0);
+                m.rename(e, self.maps[d])
+            }
+            _ => {
+                let live = m.live_nodes();
+                let meets = m.intersects(c.f, c.g);
+                assert_eq!(m.live_nodes(), live, "intersects built nodes");
+                if meets {
+                    Bdd::TRUE
+                } else {
+                    Bdd::FALSE
+                }
+            }
+        }
+    }
+
+    /// What `c` must return, from its operands' truth tables.
+    fn truth(&self, c: Call, tf: &Tt, tg: &Tt, th: &Tt) -> Tt {
+        let quantify = |t: Tt, q: &[usize]| q.iter().fold(t, |t, &v| tt_exists(&t, v));
+        let conj = tt_zip(tf, tg, |x, y| x & y);
+        let q = &self.sets[c.k % self.sets.len()].1;
+        let d = c.k % 2;
+        match c.op {
+            0 => conj,
+            1 => tt_zip(tf, tg, |x, y| x | y),
+            2 => tt_zip(tf, tg, |x, y| x ^ y),
+            3 => tf.map(|x| !x),
+            4 => std::array::from_fn(|w| (tf[w] & tg[w]) | (!tf[w] & th[w])),
+            5 => quantify(*tf, q),
+            6 => quantify(conj, q),
+            7 => tt_substitute(&quantify(*tf, &self.away[d].1), &self.from[d]),
+            _ => [if conj == [0; 16] { 0 } else { u64::MAX }; 16],
+        }
+    }
+}
+
+/// Differential test of the lossy computed table. One manager per seed
+/// runs thousands of random `and/or/xor/not/ite/exists/and_exists/
+/// rename/intersects` calls over a pool of functions on 10 variables, so
+/// the 4,096-entry minimum table is overwritten many times and grows with
+/// the arena. Results that are not constant join the pool, and fresh
+/// random expressions keep it from collapsing. Every result is checked
+/// against truth tables, and replaying an earlier call, whose entry may
+/// be gone, must return the same handle.
+#[test]
+fn computed_table_differential_against_truth_tables() {
+    const STEPS: usize = 3000;
+    const POOL: usize = 24;
+    for seed in 0..table_seeds() {
+        let ctx = format!("seed {seed} (rerun: BDD_TABLE_SEEDS={})", seed + 1);
+        let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x7ab1e);
+        let mut m = Manager::new();
+        let vars = m.new_vars(TT_VARS);
+        let voc = Vocabulary::new(&mut m, &vars, &mut rng);
+        let mut memo = std::collections::HashMap::new();
+        let mut pool: Vec<(Bdd, Tt)> = (0..TT_VARS).map(|i| (m.var(vars[i]), tt_var(i))).collect();
+        let mut log: Vec<(Call, Bdd)> = Vec::new();
+        let misses_before = m.stats().cache_lookups - m.stats().cache_hits;
+        let put = |pool: &mut Vec<(Bdd, Tt)>, slot: usize, entry| match pool.get_mut(slot) {
+            Some(old) => *old = entry,
+            None => pool.push(entry),
+        };
+        for step in 0..STEPS {
+            let slot = (rng.next() as usize) % POOL;
+            if rng.next().is_multiple_of(8) {
+                let (f, oracle) = random_expr(&mut m, &vars, &mut rng, 5);
+                put(&mut pool, slot, (f, tt_from(&oracle)));
+            }
+            if !log.is_empty() && rng.next().is_multiple_of(4) {
+                let (call, r) = log[(rng.next() as usize) % log.len()];
+                let again = voc.apply(&mut m, call);
+                assert_eq!(
+                    again, r,
+                    "{ctx}, step {step}: replayed op {} changed its result",
+                    call.op
+                );
+                continue;
+            }
+            let mut pick = || pool[(rng.next() as usize) % pool.len()];
+            let ((f, tf), (g, tg), (h, th)) = (pick(), pick(), pick());
+            let call = Call { op: rng.next() % 9, f, g, h, k: rng.next() as usize };
+            let r = voc.apply(&mut m, call);
+            let tr = voc.truth(call, &tf, &tg, &th);
+            assert_eq!(tt_of(&m, r, &mut memo), tr, "{ctx}, step {step}: op {}", call.op);
+            log.push((call, r));
+            if !r.is_const() {
+                put(&mut pool, slot, (r, tr));
+            }
+        }
+        let misses = m.stats().cache_lookups - m.stats().cache_hits - misses_before;
+        let minimum = 1 << crate::table::COMPUTED_MIN_LOG2;
+        assert!(misses > 8 * minimum as u64, "{ctx}: only {misses} memo inserts");
+        assert!(m.computed.capacity() > minimum, "{ctx}: the computed table never grew");
+    }
+}
+
+/// The open-addressed unique table under in-place rewrites, backward-shift
+/// deletion and rebuilds: random functions go through `swap_adjacent`,
+/// `sift` and `gc`. After each, the manager passes `check_consistency`,
+/// every node in the functions' cones is found by its own key, and every
+/// function keeps its truth table.
+#[test]
+fn unique_table_survives_swaps_sift_and_gc() {
+    for seed in 0..table_seeds() {
+        let ctx = format!("seed {seed} (rerun: BDD_TABLE_SEEDS={})", seed + 1);
+        let mut rng = Lcg(seed ^ 0x0071_ab1e);
+        let mut m = Manager::new();
+        let vars = m.new_vars(TT_VARS);
+        let mut fs: Vec<(Bdd, Tt)> = Vec::new();
+        for round in 0..16 {
+            // Enough functions that the arena outgrows the smallest table.
+            while fs.len() < 16 || m.nodes.len() <= 2048 {
+                let (f, oracle) = random_expr(&mut m, &vars, &mut rng, 8);
+                fs.push((f, tt_from(&oracle)));
+            }
+            let roots: Vec<Bdd> = fs.iter().map(|e| e.0).collect();
+            match rng.next() % 4 {
+                0 => {
+                    m.sift(&roots);
+                }
+                1 => {
+                    // Drop a third of the functions, then collect.
+                    fs.retain(|_| !rng.next().is_multiple_of(3));
+                    let kept: Vec<Bdd> = fs.iter().map(|e| e.0).collect();
+                    m.gc(&kept);
+                }
+                _ => {
+                    for _ in 0..8 {
+                        m.swap_adjacent((rng.next() % (TT_VARS as u64 - 1)) as u32);
+                    }
+                }
+            }
+            let ctx = format!("{ctx}, round {round}");
+            m.set_gc_roots(fs.iter().map(|e| e.0).collect());
+            m.check_consistency().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let mut stack: Vec<Bdd> = fs.iter().map(|e| e.0).collect();
+            while let Some(f) = stack.pop() {
+                if !f.is_const() {
+                    let found = m.unique.find(&m.nodes, m.node(f));
+                    assert_eq!(found, Ok(f.0), "{ctx}: node {f:?} not found by its key");
+                    stack.extend([m.node_lo(f), m.node_hi(f)]);
+                }
+            }
+            let mut memo = Default::default();
+            for &(f, t) in &fs {
+                assert_eq!(tt_of(&m, f, &mut memo), t, "{ctx}: {f:?} changed its function");
+            }
+        }
+        assert!(m.unique.capacity() > 1 << 12, "{ctx}: the unique table never grew");
+    }
+}

@@ -208,7 +208,11 @@ fn heartbeats_keep_a_quiet_watch_alive_past_io_timeout() {
         seed: Some(11),
     };
     let mut client = Client::connect_with(addr, policy).unwrap();
-    let blocker = client.submit(&case("coloring", 12)).unwrap();
+    // The blocker runs until its wall-clock budget ends it, however fast
+    // the synthesizer is: coloring(40) takes several seconds to solve.
+    let mut blocker = case("coloring", 40);
+    blocker.timeout_secs = Some(1.5);
+    let blocker = client.submit(&blocker).unwrap();
     poll_state(&mut client, blocker, "running", WAIT);
     let id = client.submit(&case("token_ring", 3)).unwrap();
 
