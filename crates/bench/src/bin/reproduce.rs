@@ -6,36 +6,47 @@
 //! ```
 //!
 //! Artifacts: `table1`, `fig6`/`fig7` (matching), `fig8`/`fig9`
-//! (coloring), `fig10`/`fig11` (token ring |D| = 4), `tr2` (§VI-C).
-//! `--fast` trims each sweep to the sizes that finish in seconds. CSV
-//! copies of every series land in `results/`.
+//! (coloring), `fig10`/`fig11` (token ring |D| = 4), `tr2` (§VI-C),
+//! `domains`, `schedules`, and the ablations `scc_algorithms`,
+//! `symbolic_vs_explicit` and `variable_order`. `--fast` trims each
+//! sweep to the sizes that finish in seconds. CSV copies of every series
+//! land in `results/`.
 
 use std::collections::BTreeSet;
 use stsyn_bench::*;
 
+const ALL: &[&str] = &[
+    "table1",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "tr2",
+    "domains",
+    "schedules",
+    "scc_algorithms",
+    "symbolic_vs_explicit",
+    "variable_order",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
-    let mut wanted: BTreeSet<String> =
-        args.iter().filter(|a| !a.starts_with("--")).cloned().collect();
+    let mut wanted: BTreeSet<&str> =
+        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     if wanted.is_empty() || wanted.contains("all") {
-        wanted = [
-            "table1",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "tr2",
-            "domains",
-            "schedules",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        wanted = ALL.iter().copied().collect();
+    }
+    if let Some(unknown) = wanted.iter().find(|a| !ALL.contains(a)) {
+        eprintln!("unknown artifact `{unknown}`; expected `all` or one of {ALL:?}");
+        std::process::exit(2);
     }
     std::fs::create_dir_all("results").expect("create results dir");
+    let write = |name: &str, csv: String| {
+        std::fs::write(format!("results/{name}"), csv).expect("write results CSV")
+    };
 
     if wanted.contains("table1") {
         println!("== Table 1 (Fig. 5): Local Correctability of Case Studies ==\n");
@@ -51,9 +62,9 @@ fn main() {
                 r.verdict
             );
         }
-        let json: Vec<String> =
+        let lines: Vec<String> =
             rows.iter().map(|r| format!("{}: {}", r.case_study, r.locally_correctable)).collect();
-        std::fs::write("results/table1.txt", json.join("\n")).unwrap();
+        write("table1.txt", lines.join("\n"));
         println!();
     }
 
@@ -67,12 +78,11 @@ fn main() {
         if wanted.contains("fig7") {
             println!("{}", format_space_figure("== Fig. 7: Memory Usage for Matching ==", &rows));
         }
-        std::fs::write("results/matching.csv", rows_to_csv(&rows)).unwrap();
+        write("matching.csv", rows_to_csv(&rows));
     }
 
     if wanted.contains("fig8") || wanted.contains("fig9") {
-        let ks: Vec<usize> =
-            if fast { vec![5, 10, 15, 20] } else { vec![5, 10, 15, 20, 25, 30, 35, 40] };
+        let ks: Vec<usize> = if fast { vec![5, 10, 15, 20] } else { (5..=40).step_by(5).collect() };
         eprintln!("running coloring sweep K = {ks:?} (paper: 5..=40 step 5)…");
         let rows = coloring_sweep(&ks);
         if wanted.contains("fig8") {
@@ -84,7 +94,7 @@ fn main() {
         if wanted.contains("fig9") {
             println!("{}", format_space_figure("== Fig. 9: Memory Usage for 3-Coloring ==", &rows));
         }
-        std::fs::write("results/coloring.csv", rows_to_csv(&rows)).unwrap();
+        write("coloring.csv", rows_to_csv(&rows));
     }
 
     if wanted.contains("fig10") || wanted.contains("fig11") {
@@ -103,20 +113,26 @@ fn main() {
                 format_space_figure("== Fig. 11: Memory Usage of Token Ring |D|=4 ==", &rows)
             );
         }
-        std::fs::write("results/token_ring.csv", rows_to_csv(&rows)).unwrap();
+        write("token_ring.csv", rows_to_csv(&rows));
     }
 
     if wanted.contains("tr2") {
         let (r, d) = if fast { (3, 3) } else { (4, 4) };
         eprintln!("running TR² (r = {r}, |D| = {d}; paper: 8 processes, |D| = 4)…");
         let row = two_ring_run(r, d);
+        let s = &row.stats;
         println!("== §VI-C: Two-Ring Token Ring ==");
         println!(
             "{} processes, {} states: total {:.3} s (SCC {:.3} s), {} groups, pass {}, verified {}\n",
-            row.processes, row.states, row.total_secs, row.scc_secs, row.groups_added,
-            row.pass, row.verified
+            row.instance[0].1,
+            row.instance[1].1,
+            s.total_secs(),
+            s.scc_secs(),
+            s.groups_added,
+            s.finished_in_pass,
+            row.verified
         );
-        std::fs::write("results/two_ring.csv", rows_to_csv(&[row])).unwrap();
+        write("two_ring.csv", rows_to_csv(&[row]));
     }
 
     if wanted.contains("domains") {
@@ -129,13 +145,18 @@ fn main() {
             "|D|", "SCC (s)", "total (s)", "program", "verified"
         );
         for (d, r) in ds.iter().zip(&rows) {
+            let s = &r.stats;
             println!(
                 "{:>8} {:>14.4} {:>14.4} {:>14} {:>10}",
-                d, r.scc_secs, r.total_secs, r.program_nodes, r.verified
+                d,
+                s.scc_secs(),
+                s.total_secs(),
+                s.program_nodes,
+                r.verified
             );
         }
         println!();
-        std::fs::write("results/domains.csv", rows_to_csv(&rows)).unwrap();
+        write("domains.csv", rows_to_csv(&rows));
     }
 
     if wanted.contains("schedules") {
@@ -148,13 +169,47 @@ fn main() {
             "schedule", "success", "total (s)", "groups", "pass", "SCCs"
         );
         for r in &rows {
+            let s = &r.stats;
             println!(
                 "{:<30} {:>8} {:>12.4} {:>8} {:>6} {:>8}",
-                r.schedule, r.success, r.total_secs, r.groups_added, r.pass, r.sccs
+                r.instance[0].1,
+                r.instance[1].1,
+                s.total_secs(),
+                s.groups_added,
+                s.finished_in_pass,
+                s.sccs_found
             );
         }
         println!();
-        std::fs::write("results/schedules.csv", schedule_rows_to_csv(&rows)).unwrap();
+        write("schedules.csv", rows_to_csv(&rows));
+    }
+
+    if wanted.contains("scc_algorithms") {
+        let ks: &[usize] = if fast { &[6] } else { &[6, 7] };
+        eprintln!("running SCC algorithms on Gouda–Acharya matching K = {ks:?}…");
+        let csv = scc_algorithms(ks);
+        println!("== Ablation: symbolic SCC algorithms (Gouda–Acharya matching, ¬I) ==");
+        println!("{}", format_csv_table(&csv));
+        write("scc_algorithms.csv", csv);
+    }
+
+    if wanted.contains("symbolic_vs_explicit") {
+        let (ks, ns): (&[usize], &[usize]) = if fast { (&[6], &[4]) } else { (&[6, 8], &[4, 5]) };
+        eprintln!("running explicit vs symbolic: ranks on matching {ks:?}, check on TR {ns:?}…");
+        let csv = symbolic_vs_explicit(ks, ns);
+        println!("== Ablation: explicit-state vs symbolic ComputeRanks and convergence check ==");
+        println!("{}", format_csv_table(&csv));
+        write("symbolic_vs_explicit.csv", csv);
+    }
+
+    if wanted.contains("variable_order") {
+        let instances: &[(usize, u32)] =
+            if fast { &[(4, 3), (5, 4)] } else { &[(4, 3), (5, 4), (6, 4)] };
+        eprintln!("running variable orders on TR {instances:?}…");
+        let csv = variable_order(instances);
+        println!("== Ablation: variable order of the token-ring relation (BDD nodes) ==");
+        println!("{}", format_csv_table(&csv));
+        write("variable_order.csv", csv);
     }
 
     eprintln!("CSV series written to results/");

@@ -1,86 +1,66 @@
 //! # stsyn-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§VII):
+//! Regenerates every table and figure of the paper's evaluation (§VII)
+//! and this repository's ablations. The `reproduce` binary runs each entry
+//! point, prints it in the paper's layout and writes `results/<name>.csv`:
 //!
-//! | Paper artifact | Series | Harness entry point |
+//! | Artifact | Series | Entry point |
 //! |---|---|---|
 //! | Fig. 5 ("Table 1") | local correctability of the 4 case studies | [`table1_local_correctability`] |
-//! | Fig. 6 | matching: ranking / SCC / total time vs K | [`matching_sweep`] |
-//! | Fig. 7 | matching: avg SCC size & program size (BDD nodes) vs K | [`matching_sweep`] |
-//! | Fig. 8 | coloring: times vs K (5..40) | [`coloring_sweep`] |
-//! | Fig. 9 | coloring: BDD nodes vs K | [`coloring_sweep`] |
-//! | Fig. 10 | token ring (&#124;D&#124;=4): times vs n | [`token_ring_sweep`] |
-//! | Fig. 11 | token ring (&#124;D&#124;=4): BDD nodes vs n | [`token_ring_sweep`] |
+//! | Figs. 6/7 | matching: times, avg SCC size & program size vs K | [`matching_sweep`] |
+//! | Figs. 8/9 | coloring: times & BDD nodes vs K (5..40) | [`coloring_sweep`] |
+//! | Figs. 10/11 | token ring (&#124;D&#124;=4): times & BDD nodes vs n | [`token_ring_sweep`] |
 //! | §VI-C | TR² synthesis | [`two_ring_run`] |
 //! | §VII (omitted study) | domain-size sweep | [`domain_sweep`] |
 //! | §VII (omitted study) | recovery-schedule sweep | [`schedule_sweep_matching`] |
+//! | ablation | Skeleton vs Lockstep vs Xie–Beerel SCC decomposition | [`scc_algorithms`] |
+//! | ablation | explicit vs symbolic ComputeRanks and convergence check | [`symbolic_vs_explicit`] |
+//! | ablation | interleaved vs blocked vs sifted variable order | [`variable_order`] |
 //!
-//! One [`Row`] per instance carries **both** the time series (Figs. 6, 8,
-//! 10) and the space series (Figs. 7, 9, 11), because the paper draws the
-//! two figures of each pair from the same runs. The `reproduce` binary
-//! prints them in the paper's layout and writes CSV files; the Criterion
-//! benches under `benches/` wrap the same entry points for statistically
-//! sound timing.
+//! One [`Row`] per synthesis run carries **both** the time series (Figs. 6,
+//! 8, 10) and the space series (Figs. 7, 9, 11), because the paper draws
+//! the two figures of each pair from the same runs. Its CSV columns are
+//! the instance columns, then every [`STATS`] key in table order, then
+//! `verified`: the same keys as the `synthesis.stats` trace record and a
+//! job result's `stats`. Each ablation writes its deterministic columns
+//! (node counts, SCC counts, ranks) next to a single-shot time.
 
 #![warn(missing_docs)]
 
-pub mod harness;
-
 use std::fmt::Write as _;
-use stsyn_cases::{coloring, matching, token_ring, two_ring};
+use std::time::Instant;
+use stsyn_bdd::Bdd;
+use stsyn_cases::{coloring, dijkstra_token_ring, gouda_acharya_matching};
+use stsyn_cases::{matching, token_ring, two_ring};
 use stsyn_core::analysis::{local_correctability, LocalCorrectability};
+use stsyn_core::candidates::CandidateSet;
 use stsyn_core::{AddConvergence, Options};
+use stsyn_obs::stats::{SynthesisStats, Unit, STATS};
+use stsyn_protocol::explicit::{check_convergence, predicate_states, ExplicitGraph};
+use stsyn_symbolic::check::strong_convergence;
+use stsyn_symbolic::scc::{scc_decomposition, SccAlgorithm};
+use stsyn_symbolic::{compute_ranks, SymbolicContext, VarOrder};
 
-/// One synthesis run's measurements — a point on every series of one
-/// figure pair.
+/// One synthesis run — a point on every series of one figure pair.
 #[derive(Debug, Clone)]
 pub struct Row {
-    /// Number of processes.
-    pub processes: usize,
-    /// `|S_p|` as a string (exceeds u64 for coloring(40)).
-    pub states: String,
-    /// Fig. 6/8/10 series: seconds in `ComputeRanks`.
-    pub ranking_secs: f64,
-    /// Fig. 6/8/10 series: seconds in SCC detection.
-    pub scc_secs: f64,
-    /// Fig. 6/8/10 series: total synthesis seconds.
-    pub total_secs: f64,
-    /// Fig. 7/9/11 series: average SCC size in BDD nodes.
-    pub avg_scc_nodes: f64,
-    /// Fig. 7/9/11 series: total program size in BDD nodes.
-    pub program_nodes: usize,
-    /// Supplementary: peak live BDD nodes.
-    pub peak_nodes: usize,
-    /// Supplementary: number of SCCs resolved.
-    pub sccs: usize,
-    /// Supplementary: recovery groups added.
-    pub groups_added: usize,
-    /// Which pass finished (0 = none needed).
-    pub pass: u8,
+    /// The instance columns as `(header, value)`: `processes` and
+    /// `states` for a size sweep, `schedule` and `success` for the
+    /// schedule sweep.
+    pub instance: [(&'static str, String); 2],
+    /// The run's statistics (all zero but the total time when a schedule
+    /// failed).
+    pub stats: SynthesisStats,
     /// Did the independent model check pass?
     pub verified: bool,
 }
 
 fn run_one(p: stsyn_protocol::Protocol, i: stsyn_protocol::Expr, states: String) -> Row {
-    let k = p.num_processes();
+    let processes = p.num_processes().to_string();
     let problem = AddConvergence::new(p, i).expect("well-typed invariant");
     let mut outcome = problem.synthesize(&Options::default()).expect("synthesis succeeds");
     let verified = outcome.verify_strong();
-    let s = &outcome.stats;
-    Row {
-        processes: k,
-        states,
-        ranking_secs: s.ranking_secs(),
-        scc_secs: s.scc_secs(),
-        total_secs: s.total_secs(),
-        avg_scc_nodes: s.avg_scc_nodes(),
-        program_nodes: s.program_nodes,
-        peak_nodes: s.peak_live_nodes,
-        sccs: s.sccs_found,
-        groups_added: s.groups_added,
-        pass: s.finished_in_pass,
-        verified,
-    }
+    Row { instance: [("processes", processes), ("states", states)], stats: outcome.stats, verified }
 }
 
 /// Figs. 6 & 7: synthesize maximal matching for each `K` in `ks`
@@ -120,8 +100,7 @@ pub fn token_ring_sweep(ns: &[usize], d: u32) -> Vec<Row> {
 /// paper's instance is `r = 4, d = 4`).
 pub fn two_ring_run(r: usize, d: u32) -> Row {
     let (p, i) = two_ring(r, d);
-    let states = format!("2·{d}^{}", 2 * r);
-    run_one(p, i, states)
+    run_one(p, i, format!("2·{d}^{}", 2 * r))
 }
 
 /// Supplementary series (the paper references this study but omits it for
@@ -136,72 +115,33 @@ pub fn domain_sweep(n: usize, ds: &[u32]) -> Vec<Row> {
         .collect()
 }
 
-/// One schedule-exploration measurement.
-#[derive(Debug, Clone)]
-pub struct ScheduleRow {
-    /// The schedule, in the paper's `(P1, P2, …)` notation.
-    pub schedule: String,
-    /// Did this schedule find a solution?
-    pub success: bool,
-    /// Total synthesis seconds (or time to failure).
-    pub total_secs: f64,
-    /// Groups added on success.
-    pub groups_added: usize,
-    /// Pass that finished (on success).
-    pub pass: u8,
-    /// SCCs resolved along the way.
-    pub sccs: usize,
-}
-
 /// Supplementary series: effect of the **recovery schedule** — run every
 /// rotation of the process order on the same instance (the paper's Fig. 1
 /// method runs these on separate machines; `synthesize_parallel` on
 /// threads; here we run them sequentially to time each individually).
-pub fn schedule_sweep_matching(k: usize) -> Vec<ScheduleRow> {
-    use std::time::Instant;
+pub fn schedule_sweep_matching(k: usize) -> Vec<Row> {
     stsyn_core::Schedule::all_rotations(k)
         .into_iter()
         .map(|sch| {
             let (p, i) = matching(k);
-            let problem = AddConvergence::new(p, i).unwrap();
-            let label = sch.to_string();
+            let problem = AddConvergence::new(p, i).expect("well-typed invariant");
+            let instance =
+                |success: bool| [("schedule", sch.to_string()), ("success", success.to_string())];
             let t = Instant::now();
-            match problem.synthesize_with(&Options::default(), sch) {
-                Ok(out) => ScheduleRow {
-                    schedule: label,
-                    success: true,
-                    total_secs: out.stats.total_secs(),
-                    groups_added: out.stats.groups_added,
-                    pass: out.stats.finished_in_pass,
-                    sccs: out.stats.sccs_found,
+            match problem.synthesize_with(&Options::default(), sch.clone()) {
+                Ok(mut out) => Row {
+                    instance: instance(true),
+                    verified: out.verify_strong(),
+                    stats: out.stats,
                 },
-                Err(_) => ScheduleRow {
-                    schedule: label,
-                    success: false,
-                    total_secs: t.elapsed().as_secs_f64(),
-                    groups_added: 0,
-                    pass: 0,
-                    sccs: 0,
-                },
+                Err(_) => {
+                    let stats =
+                        SynthesisStats { total_time: t.elapsed(), ..SynthesisStats::default() };
+                    Row { instance: instance(false), stats, verified: false }
+                }
             }
         })
         .collect()
-}
-
-/// Render schedule rows as CSV.
-pub fn schedule_rows_to_csv(rows: &[ScheduleRow]) -> String {
-    let mut out = String::from(
-        "schedule,success,total_secs,groups_added,pass,sccs
-",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "\"{}\",{},{:.6},{},{},{}",
-            r.schedule, r.success, r.total_secs, r.groups_added, r.pass, r.sccs
-        );
-    }
-    out
 }
 
 /// One row of the paper's case-study table (Fig. 5).
@@ -210,7 +150,7 @@ pub struct CorrectabilityRow {
     /// Case-study name as in the paper.
     pub case_study: &'static str,
     /// Instance analyzed.
-    pub instance: String,
+    pub instance: &'static str,
     /// The analyzer's verdict.
     pub verdict: String,
     /// The table's Yes/No column.
@@ -219,64 +159,46 @@ pub struct CorrectabilityRow {
 
 /// Fig. 5 ("Table 1: Local Correctability of Case Studies").
 pub fn table1_local_correctability() -> Vec<CorrectabilityRow> {
-    let mut rows = Vec::new();
-    let (p, i) = coloring(5);
-    let v = local_correctability(&p, &i);
-    rows.push(CorrectabilityRow {
-        case_study: "3-Coloring",
-        instance: "ring of 5".into(),
-        locally_correctable: v == LocalCorrectability::Yes,
-        verdict: v.to_string(),
-    });
-    let (p, i) = matching(5);
-    let v = local_correctability(&p, &i);
-    rows.push(CorrectabilityRow {
-        case_study: "Matching",
-        instance: "ring of 5".into(),
-        locally_correctable: v == LocalCorrectability::Yes,
-        verdict: v.to_string(),
-    });
-    let (p, i) = token_ring(4, 3);
-    let v = local_correctability(&p, &i);
-    rows.push(CorrectabilityRow {
-        case_study: "Token Ring (TR)",
-        instance: "4 processes, |D| = 3".into(),
-        locally_correctable: v == LocalCorrectability::Yes,
-        verdict: v.to_string(),
-    });
-    let (p, i) = two_ring(2, 3);
-    let v = local_correctability(&p, &i);
-    rows.push(CorrectabilityRow {
-        case_study: "Two-Ring TR",
-        instance: "2×2 processes, |D| = 3".into(),
-        locally_correctable: v == LocalCorrectability::Yes,
-        verdict: v.to_string(),
-    });
-    rows
+    [
+        ("3-Coloring", "ring of 5", coloring(5)),
+        ("Matching", "ring of 5", matching(5)),
+        ("Token Ring (TR)", "4 processes, |D| = 3", token_ring(4, 3)),
+        ("Two-Ring TR", "2×2 processes, |D| = 3", two_ring(2, 3)),
+    ]
+    .into_iter()
+    .map(|(case_study, instance, (p, i))| {
+        let v = local_correctability(&p, &i);
+        CorrectabilityRow {
+            case_study,
+            instance,
+            locally_correctable: v == LocalCorrectability::Yes,
+            verdict: v.to_string(),
+        }
+    })
+    .collect()
 }
 
-/// Render rows as CSV (time and space series together).
+/// Render rows as CSV: the instance columns, every [`STATS`] key in table
+/// order (seconds to the microsecond), then `verified`.
 pub fn rows_to_csv(rows: &[Row]) -> String {
-    let mut out = String::from(
-        "processes,states,ranking_secs,scc_secs,total_secs,avg_scc_nodes,program_nodes,peak_nodes,sccs,groups_added,pass,verified\n",
-    );
+    let Some(first) = rows.first() else { return String::new() };
+    let mut header: Vec<&str> = first.instance.iter().map(|(key, _)| *key).collect();
+    header.extend(STATS.iter().map(|st| st.key));
+    header.push("verified");
+    let mut out = header.join(",") + "\n";
     for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{:.6},{:.6},{:.6},{:.1},{},{},{},{},{},{}",
-            r.processes,
-            r.states,
-            r.ranking_secs,
-            r.scc_secs,
-            r.total_secs,
-            r.avg_scc_nodes,
-            r.program_nodes,
-            r.peak_nodes,
-            r.sccs,
-            r.groups_added,
-            r.pass,
-            r.verified
-        );
+        let mut cells: Vec<String> = r
+            .instance
+            .iter()
+            .map(|(_, v)| if v.contains(',') { format!("\"{v}\"") } else { v.clone() })
+            .collect();
+        cells.extend(STATS.iter().map(|st| match st.unit {
+            Unit::Secs => format!("{:.6}", (st.get)(&r.stats)),
+            Unit::Count | Unit::Nodes => (st.get)(&r.stats).to_string(),
+        }));
+        cells.push(r.verified.to_string());
+        out += &cells.join(",");
+        out.push('\n');
     }
     out
 }
@@ -290,10 +212,16 @@ pub fn format_time_figure(title: &str, rows: &[Row]) -> String {
         "# proc", "states", "ranking (s)", "SCC (s)", "total (s)", "verified"
     );
     for r in rows {
+        let s = &r.stats;
         let _ = writeln!(
             out,
             "{:>6} {:>14} {:>14.4} {:>14.4} {:>14.4} {:>10}",
-            r.processes, r.states, r.ranking_secs, r.scc_secs, r.total_secs, r.verified
+            r.instance[0].1,
+            r.instance[1].1,
+            s.ranking_secs(),
+            s.scc_secs(),
+            s.total_secs(),
+            r.verified
         );
     }
     out
@@ -308,11 +236,144 @@ pub fn format_space_figure(title: &str, rows: &[Row]) -> String {
         "# proc", "states", "avg SCC (nodes)", "program size (nodes)", "peak nodes"
     );
     for r in rows {
+        let s = &r.stats;
         let _ = writeln!(
             out,
             "{:>6} {:>14} {:>18.1} {:>20} {:>14}",
-            r.processes, r.states, r.avg_scc_nodes, r.program_nodes, r.peak_nodes
+            r.instance[0].1,
+            r.instance[1].1,
+            s.avg_scc_nodes(),
+            s.program_nodes,
+            s.peak_live_nodes
         );
+    }
+    out
+}
+
+/// Render an ablation's CSV as a right-aligned text table.
+pub fn format_csv_table(csv: &str) -> String {
+    let cells: Vec<Vec<&str>> = csv.lines().map(|l| l.split(',').collect()).collect();
+    let cols = cells.first().map_or(0, Vec::len);
+    let widths: Vec<usize> =
+        (0..cols).map(|c| cells.iter().map(|r| r[c].len()).max().unwrap_or(0)).collect();
+    let mut out = String::new();
+    for row in &cells {
+        let padded: Vec<String> =
+            row.iter().zip(&widths).map(|(v, w)| format!("{v:>w$}")).collect();
+        out += &padded.join("  ");
+        out.push('\n');
+    }
+    out
+}
+
+/// Ablation: the three symbolic SCC algorithms decompose the same graph,
+/// the Gouda–Acharya matching protocol restricted to `¬I` (a realistic
+/// cycle-resolution workload), for each `K` in `ks`. One CSV row per
+/// algorithm: the SCCs found, their BDD nodes summed, and the seconds of
+/// the decomposition alone (each on a fresh manager, so no algorithm
+/// inherits another's computed table).
+pub fn scc_algorithms(ks: &[usize]) -> String {
+    let mut out = String::from("processes,algorithm,sccs,scc_nodes,secs\n");
+    for &k in ks {
+        let mut found = Vec::new();
+        for algorithm in [SccAlgorithm::Skeleton, SccAlgorithm::Lockstep, SccAlgorithm::XieBeerel] {
+            let (p, i_expr) = gouda_acharya_matching(k);
+            let mut ctx = SymbolicContext::new(p);
+            let t = ctx.protocol_relation();
+            let i = ctx.compile(&i_expr);
+            let not_i = ctx.not_states(i);
+            let restricted = ctx.restrict_relation(t, not_i);
+            let start = Instant::now();
+            let sccs = scc_decomposition(&mut ctx, restricted, not_i, algorithm);
+            let secs = start.elapsed().as_secs_f64();
+            let nodes: usize = sccs.iter().map(|&s| ctx.mgr_ref().node_count(s)).sum();
+            found.push((sccs.len(), nodes));
+            let _ = writeln!(out, "{k},{algorithm:?},{},{nodes},{secs:.6}", sccs.len());
+        }
+        assert!(found.windows(2).all(|w| w[0] == w[1]), "SCC algorithms disagree on K = {k}");
+    }
+    out
+}
+
+/// Ablation: explicit-state versus symbolic computation of the method's
+/// two pillars on the same instances. `ComputeRanks` runs over the
+/// maximal candidate protocol `p_im` of `matching(k)` for each `k` in
+/// `ks`, from the same candidate groups: BFS over their expanded
+/// transitions versus the BDD fixpoint. The strong-convergence check runs
+/// on `dijkstra_token_ring(n, 4)` for each `n` in `ns`. Each row gives the
+/// explicit edge count, the symbolic relation's BDD nodes, both results
+/// (the highest rank `M`, or the verdict), and each engine's seconds.
+pub fn symbolic_vs_explicit(ks: &[usize], ns: &[usize]) -> String {
+    let mut out = String::from(
+        "check,protocol,processes,explicit_edges,symbolic_nodes,explicit,symbolic,explicit_secs,symbolic_secs\n",
+    );
+    for &k in ks {
+        let (p, i_expr) = matching(k);
+        let mut ctx = SymbolicContext::new(p.clone());
+        let i = ctx.compile(&i_expr);
+        let cands = CandidateSet::build(&mut ctx, i);
+        let start = Instant::now();
+        let pim = cands.pim(&mut ctx, Bdd::FALSE);
+        let symbolic = compute_ranks(&mut ctx, pim, i).max_rank();
+        let symbolic_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let edges = cands.all.iter().flat_map(|c| c.desc.transitions(&p)).collect();
+        let graph = ExplicitGraph::from_edges(p.space().size() as usize, edges);
+        let ranks = graph.backward_ranks(&predicate_states(&p, &i_expr));
+        let explicit = ranks.into_iter().filter(|&r| r != u32::MAX).max().unwrap_or(0) as usize;
+        let explicit_secs = start.elapsed().as_secs_f64();
+        assert_eq!(explicit, symbolic, "ranks disagree on matching({k})");
+        let nodes = ctx.mgr_ref().node_count(pim);
+        let _ = writeln!(
+            out,
+            "compute_ranks,matching,{k},{},{nodes},{explicit},{symbolic},{explicit_secs:.6},{symbolic_secs:.6}",
+            graph.num_edges()
+        );
+    }
+    for &n in ns {
+        let (p, i_expr) = dijkstra_token_ring(n, 4);
+        let start = Instant::now();
+        let explicit = check_convergence(&p, &i_expr).strongly_converges();
+        let explicit_secs = start.elapsed().as_secs_f64();
+        let edges = ExplicitGraph::of_protocol(&p).num_edges();
+        let start = Instant::now();
+        let mut ctx = SymbolicContext::new(p);
+        let t = ctx.protocol_relation();
+        let i = ctx.compile(&i_expr);
+        let symbolic = strong_convergence(&mut ctx, t, i).holds;
+        let symbolic_secs = start.elapsed().as_secs_f64();
+        assert_eq!(explicit, symbolic, "verdicts disagree on dijkstra_token_ring({n}, 4)");
+        let nodes = ctx.mgr_ref().node_count(t);
+        let _ = writeln!(
+            out,
+            "strong_convergence,dijkstra_token_ring_d4,{n},{edges},{nodes},{explicit},{symbolic},{explicit_secs:.6},{symbolic_secs:.6}"
+        );
+    }
+    out
+}
+
+/// Ablation: the BDD size of Dijkstra's token-ring relation under the
+/// interleaved current/primed order, under the blocked
+/// (all-current-then-all-primed) order, and after Rudell's sifting from
+/// the blocked order, for each `(n, |D|)` in `instances`, with the
+/// sifting's seconds. Interleaving keeps every frame condition
+/// (`v' = v` for all unwritten `v`) linear; the blocked order makes each
+/// conjunct span the whole order, and sifting recovers a compact order
+/// without knowing the protocol.
+pub fn variable_order(instances: &[(usize, u32)]) -> String {
+    let mut out = String::from("processes,domain,interleaved,blocked,blocked_sifted,sift_secs\n");
+    for &(n, d) in instances {
+        let size = |order| {
+            let mut ctx = SymbolicContext::with_order(dijkstra_token_ring(n, d).0, order);
+            let t = ctx.protocol_relation();
+            (ctx.mgr_ref().node_count(t), ctx, t)
+        };
+        let (interleaved, ..) = size(VarOrder::Interleaved);
+        let (blocked, mut ctx, t) = size(VarOrder::Blocked);
+        let start = Instant::now();
+        let (_, sifted) = ctx.mgr().sift(&[t]);
+        let secs = start.elapsed().as_secs_f64();
+        let _ = writeln!(out, "{n},{d},{interleaved},{blocked},{sifted},{secs:.6}");
     }
     out
 }
@@ -326,10 +387,10 @@ mod tests {
         let rows = token_ring_sweep(&[2, 3], 3);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.verified));
-        assert!(rows[1].total_secs >= 0.0);
+        assert!(rows[1].stats.total_secs() >= 0.0);
         let rows = coloring_sweep(&[4]);
         assert!(rows[0].verified);
-        assert_eq!(rows[0].sccs, 0);
+        assert_eq!(rows[0].stats.sccs_found, 0);
     }
 
     #[test]
@@ -345,11 +406,17 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_figures_render() {
+    fn csv_columns_are_the_stats_table() {
         let rows = token_ring_sweep(&[3], 3);
         let csv = rows_to_csv(&rows);
-        assert!(csv.lines().count() == 2);
-        assert!(csv.starts_with("processes,"));
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 2);
+        let header: Vec<&str> = lines[0].split(',').collect();
+        let keys: Vec<&str> = STATS.iter().map(|st| st.key).collect();
+        assert_eq!(header[..2], ["processes", "states"]);
+        assert_eq!(header[2..header.len() - 1], keys[..]);
+        assert_eq!(header.last(), Some(&"verified"));
+        assert_eq!(lines[1].split(',').count(), header.len());
         let t = format_time_figure("Fig. X", &rows);
         assert!(t.contains("ranking"));
         let s = format_space_figure("Fig. Y", &rows);
@@ -361,23 +428,38 @@ mod tests {
         let rows = domain_sweep(3, &[2, 3, 4]);
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.verified));
-        assert_eq!(rows[2].states, "4^3");
+        assert_eq!(rows[2].instance[1].1, "4^3");
     }
 
     #[test]
     fn schedule_sweep_covers_all_rotations() {
         let rows = schedule_sweep_matching(5);
         assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r.success), "every rotation succeeds on matching(5)");
-        let csv = schedule_rows_to_csv(&rows);
+        assert!(rows.iter().all(|r| r.verified), "every rotation succeeds on matching(5)");
+        let csv = rows_to_csv(&rows);
         assert_eq!(csv.lines().count(), 6);
-        assert!(csv.contains("(P1, P2, P3, P4, P0)"));
+        assert!(csv.starts_with("schedule,success,"));
+        assert!(csv.contains("\"(P1, P2, P3, P4, P0)\",true,"));
     }
 
     #[test]
     fn two_ring_row_verifies() {
         let row = two_ring_run(2, 3);
         assert!(row.verified);
-        assert_eq!(row.processes, 4);
+        assert_eq!(row.instance[0].1, "4");
+    }
+
+    #[test]
+    fn ablations_render_one_row_per_measurement() {
+        let csv = scc_algorithms(&[4]);
+        assert_eq!(csv.lines().count(), 4);
+        assert!(format_csv_table(&csv).contains("XieBeerel"));
+        let csv = symbolic_vs_explicit(&[4], &[3]);
+        assert_eq!(csv.lines().count(), 3);
+        assert!(csv.contains("strong_convergence,dijkstra_token_ring_d4,3,"));
+        let csv = variable_order(&[(3, 3)]);
+        let row: Vec<usize> =
+            csv.lines().nth(1).unwrap().split(',').take(5).map(|v| v.parse().unwrap()).collect();
+        assert!(row[4] <= row[3], "sifting never grows the blocked relation");
     }
 }
