@@ -4,7 +4,7 @@
 //! A [`Budget`] bounds a symbolic computation along four axes:
 //!
 //! * **operation ticks** — every recursive step of the memoized operations
-//!   (`apply`, `ite`, quantification, renaming, cofactoring) counts one
+//!   (`apply`, `ite`, quantification, renaming, the emptiness tests) counts one
 //!   tick; a tick ceiling bounds total work deterministically,
 //! * **wall clock** — a deadline checked every 1024 ticks (so unbudgeted
 //!   hot loops never touch the clock),

@@ -1,5 +1,6 @@
-//! Inspection of BDDs: evaluation, model counting, node counting, support
-//! computation and cube (satisfying path) enumeration.
+//! Inspection of BDDs: evaluation, model counting, the node-free test of a
+//! conjunction of cofactors, node counting, support computation and cube
+//! (satisfying path) enumeration.
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::manager::{Bdd, Manager, VarId, TERMINAL_LEVEL};
@@ -112,61 +113,83 @@ impl Manager {
         inner * 2f64.powi(free)
     }
 
-    /// The cofactor `f[lits]`: substitute the given constant values for
-    /// the given variables. `lits` must be sorted by level. Linear in the
-    /// size of `f`; uses a per-call memo (no persistent cache pollution).
-    pub fn cofactor(&mut self, f: Bdd, lits: &[(VarId, bool)]) -> Bdd {
-        crate::budget::expect_budget(self.try_cofactor(f, lits))
-    }
-
-    /// Fallible variant of [`Manager::cofactor`].
+    /// Is `f[lits_f] ∧ g[lits_g]` satisfiable? `f[lits]` is the cofactor
+    /// that substitutes constants for the variables of `lits` (at most one
+    /// literal per variable; any order). One early-exit walk over the
+    /// cofactor pairs answers it without building either cofactor or the
+    /// conjunction: one tick per step, a per-call memo of the pairs found
+    /// disjoint, and [`Manager::try_intersects`], which shares the computed
+    /// table, once both literal lists are used up. Creates no node.
     #[must_use = "a budget violation is reported through the Result"]
-    pub fn try_cofactor(&mut self, f: Bdd, lits: &[(VarId, bool)]) -> Result<Bdd, crate::BddError> {
-        // Order by the current levels so the merge-walk below is valid
-        // under any variable order.
-        let mut ordered: Vec<(VarId, bool)> = lits.to_vec();
-        ordered.sort_unstable_by_key(|&(v, _)| self.level_of(v));
-        let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
-        self.cofactor_rec(f, &ordered, &mut memo)
-    }
-
-    fn cofactor_rec(
+    pub fn try_cofactors_intersect(
         &mut self,
         f: Bdd,
-        lits: &[(VarId, bool)],
-        memo: &mut FxHashMap<u32, u32>,
-    ) -> Result<Bdd, crate::BddError> {
+        lits_f: &[(VarId, bool)],
+        g: Bdd,
+        lits_g: &[(VarId, bool)],
+    ) -> Result<bool, crate::BddError> {
+        let by_level = |m: &Manager, lits: &[(VarId, bool)]| {
+            let mut out: Vec<(u32, bool)> = lits.iter().map(|&(v, b)| (m.level_of(v), b)).collect();
+            out.sort_unstable();
+            out
+        };
+        let (lf, lg) = (by_level(self, lits_f), by_level(self, lits_g));
+        self.cofactors_intersect_rec(f, &lf, g, &lg, &mut FxHashSet::default())
+    }
+
+    /// One step of [`Manager::try_cofactors_intersect`]. After both
+    /// operands are walked past their literals, the literals left are
+    /// those below each operand's top level, so `(f, g)` alone keys the
+    /// memo of disjoint pairs.
+    fn cofactors_intersect_rec(
+        &mut self,
+        f: Bdd,
+        lf: &[(u32, bool)],
+        g: Bdd,
+        lg: &[(u32, bool)],
+        disjoint: &mut FxHashSet<(u32, u32)>,
+    ) -> Result<bool, crate::BddError> {
         self.tick()?;
-        if f.is_const() || lits.is_empty() {
-            return Ok(f);
+        let (f, lf) = self.substitute_from_top(f, lf);
+        let (g, lg) = self.substitute_from_top(g, lg);
+        if lf.is_empty() && lg.is_empty() {
+            return self.try_intersects(f, g);
         }
-        let top = self.level(f);
-        // Skip literals above f.
-        let mut lits = lits;
-        while let Some(&(v, b)) = lits.first() {
-            let lv = self.level_of(v);
-            if lv < top {
-                lits = &lits[1..];
-            } else if lv == top {
-                let n = self.node(f);
-                let child = Bdd(if b { n.hi } else { n.lo });
-                return self.cofactor_rec(child, &lits[1..], memo);
-            } else {
+        if f.is_false() || g.is_false() || disjoint.contains(&(f.0, g.0)) {
+            return Ok(false);
+        }
+        let top = self.level(f).min(self.level(g));
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        if self.cofactors_intersect_rec(f0, lf, g0, lg, disjoint)?
+            || self.cofactors_intersect_rec(f1, lf, g1, lg, disjoint)?
+        {
+            return Ok(true);
+        }
+        disjoint.insert((f.0, g.0));
+        Ok(false)
+    }
+
+    /// Follow `f` down through the literals (sorted by level) at or above
+    /// its top level: a literal above `f` does not touch it, and one at its
+    /// top picks a child. Returns the node reached and the literals below.
+    fn substitute_from_top<'l>(
+        &self,
+        mut f: Bdd,
+        mut lits: &'l [(u32, bool)],
+    ) -> (Bdd, &'l [(u32, bool)]) {
+        while let Some((&(level, b), rest)) = lits.split_first() {
+            let top = self.level(f);
+            if level > top {
                 break;
             }
+            if level == top {
+                let n = self.node(f);
+                f = Bdd(if b { n.hi } else { n.lo });
+            }
+            lits = rest;
         }
-        if lits.is_empty() {
-            return Ok(f);
-        }
-        if let Some(&r) = memo.get(&f.0) {
-            return Ok(Bdd(r));
-        }
-        let n = self.node(f);
-        let lo = self.cofactor_rec(Bdd(n.lo), lits, memo)?;
-        let hi = self.cofactor_rec(Bdd(n.hi), lits, memo)?;
-        let r = self.mk(n.var, lo, hi);
-        memo.insert(f.0, r.0);
-        Ok(r)
+        (f, lits)
     }
 
     /// Number of distinct DAG nodes in `f`, terminals included (CUDD's
@@ -398,45 +421,6 @@ mod tests {
             rebuilt = m.or(rebuilt, cb);
         }
         assert_eq!(rebuilt, f);
-    }
-
-    #[test]
-    fn cofactor_substitutes_constants() {
-        let (mut m, vs) = setup();
-        let a = m.var(vs[0]);
-        let b = m.var(vs[1]);
-        let c = m.var(vs[2]);
-        let ab = m.and(a, b);
-        let f = m.or(ab, c); // (a ∧ b) ∨ c
-                             // f[a := 1] = b ∨ c
-        let f_a1 = m.cofactor(f, &[(vs[0], true)]);
-        let b_or_c = m.or(b, c);
-        assert_eq!(f_a1, b_or_c);
-        // f[a := 0, c := 0] = false
-        let f_00 = m.cofactor(f, &[(vs[0], false), (vs[2], false)]);
-        assert!(f_00.is_false());
-        // Cofactor by a variable outside the support is the identity.
-        assert_eq!(m.cofactor(f, &[(vs[3], true)]), f);
-        // Constants are fixed points.
-        assert!(m.cofactor(Bdd::TRUE, &[(vs[0], false)]).is_true());
-    }
-
-    #[test]
-    fn cofactor_equals_exists_of_conjunction() {
-        let (mut m, vs) = setup();
-        let a = m.var(vs[0]);
-        let b = m.var(vs[1]);
-        let c = m.var(vs[2]);
-        let x = m.xor(a, b);
-        let f = m.iff(x, c);
-        for val in [false, true] {
-            let direct = m.cofactor(f, &[(vs[1], val)]);
-            let lit = m.literal(vs[1], val);
-            let conj = m.and(f, lit);
-            let set = m.varset(&[vs[1]]);
-            let via_exists = m.exists(conj, set);
-            assert_eq!(direct, via_exists);
-        }
     }
 
     #[test]

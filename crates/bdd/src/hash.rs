@@ -1,5 +1,5 @@
 //! A fast, non-cryptographic hasher for the crate's auxiliary maps: the
-//! per-call memos and visited sets of `sat_count`, `cofactor`,
+//! per-call memos and visited sets of `sat_count`, `try_cofactors_intersect`,
 //! `node_count`, `support`, DOT export, the minimizers and the consistency
 //! check, and the interning of varsets and rename maps.
 //!

@@ -195,6 +195,100 @@ fn emptiness_tests_agree_with_materialized_ops() {
     }
 }
 
+/// Differential test of the node-free cofactor test: `f[lits_f] ∧
+/// g[lits_g]` is satisfiable iff some assignment satisfies `f` with
+/// `lits_f` written over it and `g` with `lits_g` written over it. Random
+/// functions on up to 10 variables, under an order shuffled by adjacent
+/// swaps, meet literal sets that are empty, random, overlapping (the same
+/// variables, some polarities flipped) and over every variable, listed in
+/// random order. Each call must agree with brute force, build no node,
+/// take at least one tick and answer the same again on a warm table.
+#[test]
+fn cofactors_intersect_against_truth_tables() {
+    type Lits = Vec<(VarId, bool)>;
+    let meets = |m: &mut Manager, f: Bdd, lf: &[(VarId, bool)], g: Bdd, lg: &[(VarId, bool)]| {
+        m.try_cofactors_intersect(f, lf, g, lg).expect("no budget")
+    };
+    {
+        // With f = (a ∧ b) ∨ c: f[a := 1] = b ∨ c, f[a := 0, c := 0] =
+        // false, a literal outside the support changes nothing, constants
+        // are fixed points, and f[b := x] = ∃b. f ∧ (b = x).
+        let mut m = Manager::new();
+        let vs = m.new_vars(4);
+        let (a, b, c) = (m.var(vs[0]), m.var(vs[1]), m.var(vs[2]));
+        let ab = m.and(a, b);
+        let f = m.or(ab, c);
+        let b_or_c = m.or(b, c);
+        let (nf, n_b_or_c) = (m.not(f), m.not(b_or_c));
+        assert!(!meets(&mut m, f, &[(vs[0], true)], n_b_or_c, &[]));
+        assert!(!meets(&mut m, nf, &[(vs[0], true)], b_or_c, &[]));
+        assert!(!meets(&mut m, f, &[(vs[0], false), (vs[2], false)], Bdd::TRUE, &[]));
+        assert!(!meets(&mut m, f, &[(vs[3], true)], nf, &[]));
+        assert!(meets(&mut m, f, &[(vs[3], true)], f, &[(vs[3], false)]));
+        assert!(meets(&mut m, Bdd::TRUE, &[(vs[0], false)], Bdd::TRUE, &[(vs[1], true)]));
+        assert!(!meets(&mut m, Bdd::FALSE, &[(vs[0], false)], Bdd::TRUE, &[]));
+        let set = m.varset(&[vs[1]]);
+        for val in [false, true] {
+            let lit = m.literal(vs[1], val);
+            let conj = m.and(f, lit);
+            let via_exists = m.exists(conj, set);
+            for g in [a, c, nf, n_b_or_c] {
+                let want = m.intersects(via_exists, g);
+                assert_eq!(meets(&mut m, f, &[(vs[1], val)], g, &[]), want);
+            }
+        }
+    }
+    for seed in 0..120u64 {
+        let mut rng = Lcg(seed ^ 0xc0fa_c7e5);
+        let n = 1 + (rng.next() % 10) as usize;
+        let mut m = Manager::new();
+        let vars = m.new_vars(n);
+        let mut fs: Vec<Bdd> = (0..3).map(|_| random_expr(&mut m, &vars, &mut rng, 6).0).collect();
+        fs.extend([Bdd::TRUE, Bdd::FALSE]);
+        for _ in 0..2 * n {
+            if n > 1 {
+                m.swap_adjacent((rng.next() % (n as u64 - 1)) as u32);
+            }
+        }
+        let random = |rng: &mut Lcg, keep: u64| -> Lits {
+            let mut lits = Lits::new();
+            for &v in &vars {
+                if rng.next() % 4 < keep {
+                    lits.push((v, rng.next().is_multiple_of(2)));
+                }
+            }
+            for k in (1..lits.len()).rev() {
+                lits.swap(k, (rng.next() % (k as u64 + 1)) as usize);
+            }
+            lits
+        };
+        let some = random(&mut rng, 2);
+        let overlapping: Lits =
+            some.iter().map(|&(v, b)| (v, b ^ rng.next().is_multiple_of(2))).collect();
+        let sets: [Lits; 5] =
+            [Vec::new(), some, overlapping, random(&mut rng, 4), random(&mut rng, 1)];
+        let asgs = assignments(n);
+        let over = |a: &[bool], lits: &[(VarId, bool)]| {
+            let mut a = a.to_vec();
+            for &(v, b) in lits {
+                a[v.0 as usize] = b;
+            }
+            a
+        };
+        for _ in 0..16 {
+            let (f, g) = (fs[(rng.next() % 5) as usize], fs[(rng.next() % 5) as usize]);
+            let (lf, lg) = (&sets[(rng.next() % 5) as usize], &sets[(rng.next() % 5) as usize]);
+            let want = asgs.iter().any(|a| m.eval(f, &over(a, lf)) && m.eval(g, &over(a, lg)));
+            let (live, ticks) = (m.live_nodes(), m.ticks_used());
+            let got = meets(&mut m, f, lf, g, lg);
+            assert_eq!(got, want, "seed {seed}: f={f:?}{lf:?} g={g:?}{lg:?}");
+            assert_eq!(m.live_nodes(), live, "seed {seed}: built nodes");
+            assert!(m.ticks_used() > ticks, "seed {seed}: took no tick");
+            assert_eq!(meets(&mut m, f, lf, g, lg), want, "seed {seed}: warm table");
+        }
+    }
+}
+
 #[test]
 fn sat_count_random_cross_check() {
     let mut rng = Lcg(777);

@@ -8,9 +8,9 @@
 //! Artifacts: `table1`, `fig6`/`fig7` (matching), `fig8`/`fig9`
 //! (coloring), `fig10`/`fig11` (token ring |D| = 4), `tr2` (§VI-C),
 //! `domains`, `schedules`, and the ablations `scc_algorithms`,
-//! `symbolic_vs_explicit` and `variable_order`. `--fast` trims each
-//! sweep to the sizes that finish in seconds. CSV copies of every series
-//! land in `results/`.
+//! `symbolic_vs_explicit` and `variable_order`. CSV copies of every series
+//! land in `results/`. `--fast` trims each sweep to the sizes that finish
+//! in seconds and writes to the git-ignored `results/fast/` instead.
 
 use std::collections::BTreeSet;
 use stsyn_bench::*;
@@ -43,10 +43,10 @@ fn main() {
         eprintln!("unknown artifact `{unknown}`; expected `all` or one of {ALL:?}");
         std::process::exit(2);
     }
-    std::fs::create_dir_all("results").expect("create results dir");
-    let write = |name: &str, csv: String| {
-        std::fs::write(format!("results/{name}"), csv).expect("write results CSV")
-    };
+    let dir = results_dir(fast);
+    std::fs::create_dir_all(dir).expect("create results dir");
+    let write =
+        |name: &str, csv: String| std::fs::write(format!("{dir}/{name}"), csv).expect("write CSV");
 
     if wanted.contains("table1") {
         println!("== Table 1 (Fig. 5): Local Correctability of Case Studies ==\n");
@@ -69,9 +69,9 @@ fn main() {
     }
 
     if wanted.contains("fig6") || wanted.contains("fig7") {
-        let ks: Vec<usize> = if fast { (5..=8).collect() } else { (5..=11).collect() };
+        let ks = MATCHING_KS.get(fast);
         eprintln!("running matching sweep K = {ks:?} (paper: 5..=11, ~65 s at 11)…");
-        let rows = matching_sweep(&ks);
+        let rows = matching_sweep(ks);
         if wanted.contains("fig6") {
             println!("{}", format_time_figure("== Fig. 6: Execution Times for Matching ==", &rows));
         }
@@ -82,9 +82,9 @@ fn main() {
     }
 
     if wanted.contains("fig8") || wanted.contains("fig9") {
-        let ks: Vec<usize> = if fast { vec![5, 10, 15, 20] } else { (5..=40).step_by(5).collect() };
+        let ks = COLORING_KS.get(fast);
         eprintln!("running coloring sweep K = {ks:?} (paper: 5..=40 step 5)…");
-        let rows = coloring_sweep(&ks);
+        let rows = coloring_sweep(ks);
         if wanted.contains("fig8") {
             println!(
                 "{}",
@@ -98,9 +98,9 @@ fn main() {
     }
 
     if wanted.contains("fig10") || wanted.contains("fig11") {
-        let ns: Vec<usize> = if fast { vec![2, 3, 4] } else { vec![2, 3, 4, 5] };
+        let ns = TOKEN_RING_NS.get(fast);
         eprintln!("running token-ring sweep n = {ns:?}, |D| = 4 (paper: up to 5)…");
-        let rows = token_ring_sweep(&ns, 4);
+        let rows = token_ring_sweep(ns, 4);
         if wanted.contains("fig10") {
             println!(
                 "{}",
@@ -117,7 +117,7 @@ fn main() {
     }
 
     if wanted.contains("tr2") {
-        let (r, d) = if fast { (3, 3) } else { (4, 4) };
+        let (r, d) = TWO_RING_RD.get(fast)[0];
         eprintln!("running TR² (r = {r}, |D| = {d}; paper: 8 processes, |D| = 4)…");
         let row = two_ring_run(r, d);
         let s = &row.stats;
@@ -136,9 +136,9 @@ fn main() {
     }
 
     if wanted.contains("domains") {
-        let ds: Vec<u32> = if fast { vec![3, 4] } else { vec![3, 4, 5, 6] };
+        let ds = DOMAIN_DS.get(fast);
         eprintln!("running domain sweep: token ring n = 4, |D| = {ds:?}…");
-        let rows = domain_sweep(4, &ds);
+        let rows = domain_sweep(4, ds);
         println!("== Supplementary: effect of domain size (token ring, n = 4) ==");
         println!(
             "{:>8} {:>14} {:>14} {:>14} {:>10}",
@@ -160,7 +160,7 @@ fn main() {
     }
 
     if wanted.contains("schedules") {
-        let k = if fast { 6 } else { 7 };
+        let k = SCHEDULE_K.get(fast)[0];
         eprintln!("running schedule sweep: matching({k}), all {k} rotations…");
         let rows = schedule_sweep_matching(k);
         println!("== Supplementary: effect of the recovery schedule (matching, K = {k}) ==");
@@ -185,7 +185,7 @@ fn main() {
     }
 
     if wanted.contains("scc_algorithms") {
-        let ks: &[usize] = if fast { &[6] } else { &[6, 7] };
+        let ks = SCC_ALGORITHM_KS.get(fast);
         eprintln!("running SCC algorithms on Gouda–Acharya matching K = {ks:?}…");
         let csv = scc_algorithms(ks);
         println!("== Ablation: symbolic SCC algorithms (Gouda–Acharya matching, ¬I) ==");
@@ -194,7 +194,7 @@ fn main() {
     }
 
     if wanted.contains("symbolic_vs_explicit") {
-        let (ks, ns): (&[usize], &[usize]) = if fast { (&[6], &[4]) } else { (&[6, 8], &[4, 5]) };
+        let (ks, ns) = (RANKS_KS.get(fast), CHECK_NS.get(fast));
         eprintln!("running explicit vs symbolic: ranks on matching {ks:?}, check on TR {ns:?}…");
         let csv = symbolic_vs_explicit(ks, ns);
         println!("== Ablation: explicit-state vs symbolic ComputeRanks and convergence check ==");
@@ -203,8 +203,7 @@ fn main() {
     }
 
     if wanted.contains("variable_order") {
-        let instances: &[(usize, u32)] =
-            if fast { &[(4, 3), (5, 4)] } else { &[(4, 3), (5, 4), (6, 4)] };
+        let instances = VARIABLE_ORDER_TRS.get(fast);
         eprintln!("running variable orders on TR {instances:?}…");
         let csv = variable_order(instances);
         println!("== Ablation: variable order of the token-ring relation (BDD nodes) ==");
@@ -212,5 +211,5 @@ fn main() {
         write("variable_order.csv", csv);
     }
 
-    eprintln!("CSV series written to results/");
+    eprintln!("CSV series written to {dir}/");
 }

@@ -10,7 +10,8 @@
 //! tracer plus an attached no-subscriber [`ProgressBus`] (the live
 //! `watch` tee, nobody listening), and with an NDJSON file tracer at
 //! debug level. Median-of-N wall times land in
-//! `results/trace_overhead.csv`, and the run *fails* when the disabled
+//! `results/trace_overhead.csv` (`results/fast/` with `--fast`, which
+//! takes fewer runs), and the run *fails* when the disabled
 //! tracer — or the unwatched progress bus — costs more than 5% over the
 //! no-op baseline: the hooks must be free when observability is off,
 //! and cheap enough to leave armed when nobody is watching.
@@ -94,7 +95,8 @@ fn measure(case: &'static str, p: Protocol, i: Expr, n: usize, dir: &std::path::
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
     let n = if fast { 5 } else { 15 };
-    std::fs::create_dir_all("results").expect("create results dir");
+    let dir = stsyn_bench::results_dir(fast);
+    std::fs::create_dir_all(dir).expect("create results dir");
     let scratch = std::env::temp_dir().join(format!("stsyn-trace-overhead-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
 
@@ -141,9 +143,9 @@ fn main() {
         ));
         worst = worst.max(r.disabled_overhead).max(r.bus_overhead);
     }
-    std::fs::write("results/trace_overhead.csv", csv).expect("write csv");
+    std::fs::write(format!("{dir}/trace_overhead.csv"), csv).expect("write csv");
     let _ = std::fs::remove_dir_all(&scratch);
-    eprintln!("series written to results/trace_overhead.csv");
+    eprintln!("series written to {dir}/trace_overhead.csv");
 
     // The guard: hooks must be free when tracing is off, and the
     // unwatched progress bus must stay inside the same envelope.

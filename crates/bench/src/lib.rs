@@ -55,6 +55,61 @@ pub struct Row {
     pub verified: bool,
 }
 
+/// The sizes one `reproduce` series runs: in full, as checked in under
+/// `results/`, and trimmed by `--fast`.
+#[derive(Debug, Clone, Copy)]
+pub struct Sizes<T: 'static> {
+    /// The full sweep.
+    pub full: &'static [T],
+    /// The `--fast` sweep.
+    pub fast: &'static [T],
+}
+
+impl<T> Sizes<T> {
+    /// The full or the `--fast` sizes.
+    pub fn get(&self, fast: bool) -> &'static [T] {
+        if fast {
+            self.fast
+        } else {
+            self.full
+        }
+    }
+}
+
+/// [`matching_sweep`]'s K (the paper: 5..=11).
+pub const MATCHING_KS: Sizes<usize> = Sizes { full: &[5, 6, 7, 8, 9, 10, 11], fast: &[5, 6, 7, 8] };
+/// [`coloring_sweep`]'s K (the paper: 5, 10, …, 40).
+pub const COLORING_KS: Sizes<usize> =
+    Sizes { full: &[5, 10, 15, 20, 25, 30, 35, 40], fast: &[5, 10, 15, 20] };
+/// [`token_ring_sweep`]'s n at |D| = 4 (the paper: up to 5).
+pub const TOKEN_RING_NS: Sizes<usize> = Sizes { full: &[2, 3, 4, 5], fast: &[2, 3, 4] };
+/// [`two_ring_run`]'s (r, |D|) (the paper: 8 processes, |D| = 4).
+pub const TWO_RING_RD: Sizes<(usize, u32)> = Sizes { full: &[(4, 4)], fast: &[(3, 3)] };
+/// [`domain_sweep`]'s |D| at n = 4.
+pub const DOMAIN_DS: Sizes<u32> = Sizes { full: &[3, 4, 5, 6], fast: &[3, 4] };
+/// [`schedule_sweep_matching`]'s K: one row per rotation.
+pub const SCHEDULE_K: Sizes<usize> = Sizes { full: &[7], fast: &[6] };
+/// [`scc_algorithms`]' K: one row per algorithm.
+pub const SCC_ALGORITHM_KS: Sizes<usize> = Sizes { full: &[6, 7], fast: &[6] };
+/// [`symbolic_vs_explicit`]'s matching K for ComputeRanks.
+pub const RANKS_KS: Sizes<usize> = Sizes { full: &[6, 8], fast: &[6] };
+/// [`symbolic_vs_explicit`]'s token-ring n for the convergence check.
+pub const CHECK_NS: Sizes<usize> = Sizes { full: &[4, 5], fast: &[4] };
+/// [`variable_order`]'s token rings (n, |D|).
+pub const VARIABLE_ORDER_TRS: Sizes<(usize, u32)> =
+    Sizes { full: &[(4, 3), (5, 4), (6, 4)], fast: &[(4, 3), (5, 4)] };
+
+/// Where the evaluation binaries write: `results/`, or the git-ignored
+/// `results/fast/` for `--fast` runs, so that a trimmed run never
+/// overwrites the checked-in full-size series.
+pub fn results_dir(fast: bool) -> &'static str {
+    if fast {
+        "results/fast"
+    } else {
+        "results"
+    }
+}
+
 fn run_one(p: stsyn_protocol::Protocol, i: stsyn_protocol::Expr, states: String) -> Row {
     let processes = p.num_processes().to_string();
     let problem = AddConvergence::new(p, i).expect("well-typed invariant");

@@ -33,7 +33,7 @@ use stsyn_symbolic::check::{
     try_weak_convergence, weak_convergence,
 };
 use stsyn_symbolic::ranks::{try_compute_ranks_resumed, RankTable, RanksInterrupted};
-use stsyn_symbolic::scc::try_cyclic_groups;
+use stsyn_symbolic::scc::{try_cyclic_added_groups, try_cyclic_groups};
 use stsyn_symbolic::SymbolicContext;
 
 /// What can stop a run short of its result: the BDD budget, or — in
@@ -268,6 +268,7 @@ fn preprocess(
         .collect::<Result<Vec<_>, _>>()
         .map_err(in_setup(ctx))?;
     let restricted = ctx.try_restrict_relation(delta_p, not_i).map_err(in_setup(ctx))?;
+    ctx.register_roots(&[i, delta_p]);
     let check = try_cyclic_groups(ctx, restricted, not_i, &rels).map_err(in_setup(ctx))?;
     let mut removed = Vec::new();
     if !check.cyclic.contains(&true) {
@@ -342,11 +343,16 @@ impl Engine {
         roots
     }
 
-    fn maybe_gc(&mut self, extra: &[Bdd]) {
+    /// The safe point before each schedule step: register the engine's
+    /// handles and `extra` as the roots that the node ceiling's collection
+    /// keeps during the step, and collect when the live nodes pass
+    /// [`GC_THRESHOLD`].
+    fn safe_point(&mut self, extra: &[Bdd]) {
+        let roots = self.roots(extra);
         if self.ctx.mgr_ref().stats().live_nodes >= GC_THRESHOLD {
-            let roots = self.roots(extra);
             self.ctx.gc(&roots);
         }
+        self.ctx.register_roots(&roots);
     }
 
     /// [`stopped`] in `phase`, with the engine's progress so far.
@@ -439,55 +445,40 @@ impl Engine {
         let scan_start = Instant::now();
         let mut picked: Vec<usize> = Vec::new();
         let idxs = self.cands.by_process[j].clone();
-        // A group with readable-source cube `src` and written target
-        // `post` has a transition From → To iff
+        // A group with readable-source cube `src` (reads ← pre) and written
+        // target `post` has a transition From → To iff
         //     src ∧ From ∧ To[writes ← post]  ≠  ∅,
         // because the target state agrees with the source everywhere else.
-        // The cofactor To[writes ← post] is shared by every group with the
-        // same `post`, so the per-candidate work is one cube intersection —
-        // no primed-variable products ever get built. The same trick
-        // serves the pass-1 C4 test (`no groupmate reaches a deadlock` ⟺
-        // src ∧ Dead[writes ← post] ≠ ∅).
-        let writes = self.ctx.protocol().processes()[j].writes.clone();
-        let mut by_post: std::collections::HashMap<Vec<u32>, (Bdd, Option<Bdd>)> =
-            std::collections::HashMap::new();
-        // Locality prefilter for `From` (src is a cube over the readables).
-        let reads = self.ctx.protocol().processes()[j].reads.clone();
-        let from_local = self.ctx.try_project_onto(from, &reads)?;
+        // As `src` is a cube over the reads, that is
+        //     From[reads ← pre] ∧ To[reads∖writes ← pre, writes ← post]  ≠  ∅,
+        // one node-free test per candidate. The pass-1 C4 test (some
+        // groupmate reaches a deadlock) is the same with `From` = true and
+        // `To` = Dead.
+        let proc = &self.ctx.protocol().processes()[j];
+        let (reads, writes) = (proc.reads.clone(), proc.writes.clone());
         for ci in idxs {
             if self.cands.all[ci].included {
                 continue;
             }
-            let src = self.cands.all[ci].source;
-            if !self.ctx.mgr().try_intersects(src, from_local)? {
-                continue;
-            }
-            let post = self.cands.all[ci].desc.post.clone();
-            let (from_to, dead_cof) = match by_post.get(&post) {
-                Some(&pair) => pair,
-                None => {
-                    let mut lits = Vec::new();
-                    for (w, &val) in writes.iter().zip(&post) {
-                        lits.extend(self.ctx.cur_literals(*w, val));
-                    }
-                    lits.sort_unstable_by_key(|&(v, _)| v);
-                    let to_cof = self.ctx.mgr().try_cofactor(to, &lits)?;
-                    let from_to = self.ctx.mgr().try_and(from, to_cof)?;
-                    let dead_cof = match ruled_out_deadlocks {
-                        Some(d) => Some(self.ctx.mgr().try_cofactor(d, &lits)?),
-                        None => None,
-                    };
-                    by_post.insert(post.clone(), (from_to, dead_cof));
-                    (from_to, dead_cof)
+            let desc = &self.cands.all[ci].desc;
+            let (mut lits_from, mut lits_to) = (Vec::new(), Vec::new());
+            for (&r, &val) in reads.iter().zip(&desc.pre) {
+                let lits = self.ctx.cur_literals(r, val);
+                if !writes.contains(&r) {
+                    lits_to.extend_from_slice(&lits);
                 }
-            };
+                lits_from.extend(lits);
+            }
+            for (&w, &val) in writes.iter().zip(&desc.post) {
+                lits_to.extend(self.ctx.cur_literals(w, val));
+            }
             // Must have a transition From → To.
-            if !self.ctx.mgr().try_intersects(src, from_to)? {
+            if !self.ctx.mgr().try_cofactors_intersect(from, &lits_from, to, &lits_to)? {
                 continue;
             }
             // Pass-1 constraint C4: no groupmate may reach a deadlock.
-            if let Some(dc) = dead_cof {
-                if self.ctx.mgr().try_intersects(src, dc)? {
+            if let Some(dead) = ruled_out_deadlocks {
+                if self.ctx.mgr().try_cofactors_intersect(Bdd::TRUE, &[], dead, &lits_to)? {
                     continue;
                 }
             }
@@ -541,12 +532,18 @@ impl Engine {
             return Ok(false);
         }
         // Identify_Resolve_Cycles over (pss ∪ added) | ¬I, whose pss part
-        // is maintained incrementally. badTrans: a whole cluster is
-        // dropped if any member has a transition inside an SCC.
+        // is maintained incrementally and stays acyclic. badTrans: a whole
+        // cluster is dropped if any member has a transition inside an SCC.
         let added_restricted = self.ctx.try_restrict_relation(union_added, self.not_i)?;
         let restricted = self.ctx.mgr().try_or(self.pss_restricted, added_restricted)?;
         let scc_start = Instant::now();
-        let check = try_cyclic_groups(&mut self.ctx, restricted, self.not_i, &cluster_rels)?;
+        let check = try_cyclic_added_groups(
+            &mut self.ctx,
+            restricted,
+            added_restricted,
+            self.not_i,
+            &cluster_rels,
+        )?;
         self.stats.scc_time += scc_start.elapsed();
         self.stats.scc_calls += 1;
         self.stats.sccs_found += check.sccs.len();
@@ -608,7 +605,7 @@ impl Engine {
         let (pass, rank_key) = coord;
         let mut ruled_out = if pass == 1 { Some(deadlocks) } else { None };
         for (step, p) in schedule.order().iter().enumerate() {
-            self.maybe_gc(&[from, to, deadlocks]);
+            self.safe_point(&[from, to, deadlocks]);
             let key = (pass, rank_key, step as u32);
             let (groups, done) = match ckpt.as_deref() {
                 Some(c) => c.journaled(key.0, key.1, key.2),

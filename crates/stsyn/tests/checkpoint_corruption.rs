@@ -59,8 +59,9 @@ fn frame_boundaries(journal: &[u8]) -> Vec<usize> {
     bounds
 }
 
-/// An interrupted checkpointed run on matching(3), plus the canonical
-/// uninterrupted output to compare resumes against.
+/// A checkpointed run on matching(3) interrupted once it has journaled a
+/// rank layer, plus the canonical uninterrupted output to compare resumes
+/// against.
 fn interrupted_checkpoint(tag: &str) -> (PathBuf, HashMap<String, Vec<u8>>, String, Expr) {
     let (p, i) = matching(3);
     let problem = AddConvergence::new(p.clone(), i.clone()).unwrap();
@@ -75,23 +76,27 @@ fn interrupted_checkpoint(tag: &str) -> (PathBuf, HashMap<String, Vec<u8>>, Stri
     let total = reference.stats.bdd_ticks;
     std::fs::remove_dir_all(&ref_dir).unwrap();
 
+    // The first twentieth of the reference's ticks, from three fifths on,
+    // at which the run has written a rank snapshot: where that falls
+    // depends on how the work splits between ranking and recovery.
     let dir = temp_dir(tag);
-    let inject = Options {
-        budget: Some(Budget::unlimited().with_fail_at_tick(total * 3 / 5)),
-        ..Options::default()
-    };
-    match problem.synthesize_resumable(&inject, &dir) {
-        Err(SynthesisError::ResourceExhausted { .. }) => {}
-        other => panic!("injection did not fire: {:?}", other.map(|_| ())),
+    for twentieths in 12..20 {
+        let inject = Options {
+            budget: Some(Budget::unlimited().with_fail_at_tick(total * twentieths / 20)),
+            ..Options::default()
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        match problem.synthesize_resumable(&inject, &dir) {
+            Err(SynthesisError::ResourceExhausted { .. }) => {}
+            other => panic!("injection did not fire: {:?}", other.map(|_| ())),
+        }
+        let files = snapshot(&dir);
+        assert!(files.contains_key("journal.bin"));
+        if files.keys().any(|k| k.starts_with("rank-")) {
+            return (dir, files, want, i);
+        }
     }
-    let files = snapshot(&dir);
-    assert!(files.contains_key("journal.bin"));
-    assert!(
-        files.keys().any(|k| k.starts_with("rank-")),
-        "interrupted run left no rank snapshots: {:?}",
-        files.keys().collect::<Vec<_>>()
-    );
-    (dir, files, want, i)
+    panic!("no interrupted run left a rank snapshot")
 }
 
 fn resume_and_check(dir: &Path, i: &Expr, want: &str, what: &str) {

@@ -573,38 +573,11 @@ impl SymbolicContext {
         Ok(rel)
     }
 
-    /// The literal list (current bits, sorted by level) encoding `v = val`
-    /// — the cube form used for cofactoring.
+    /// The literal list (current bits) encoding `v = val` — the cube form
+    /// used to substitute a value into a predicate.
     pub fn cur_literals(&self, v: VarIdx, val: u32) -> Vec<(VarId, bool)> {
         let vb = &self.bits[v.0];
         vb.cur.iter().enumerate().map(|(k, &bit)| (bit, (val >> k) & 1 == 1)).collect()
-    }
-
-    /// Existentially project a current-vocabulary predicate onto a subset
-    /// of the protocol variables (quantifying out every other variable's
-    /// current bits). Used to shrink a large state set to a process's
-    /// locality before per-group cube tests.
-    pub fn project_onto(&mut self, f: Bdd, keep: &[VarIdx]) -> Bdd {
-        self.try_project_onto(f, keep).expect(INFALLIBLE)
-    }
-
-    /// Fallible variant of [`SymbolicContext::project_onto`].
-    #[must_use = "a budget violation is reported through the Result"]
-    pub fn try_project_onto(&mut self, f: Bdd, keep: &[VarIdx]) -> Result<Bdd, BddError> {
-        // A membership bitmap over the protocol variables keeps this
-        // O(vars + keep) instead of O(vars × keep) linear scans.
-        let mut kept = vec![false; self.bits.len()];
-        for v in keep {
-            kept[v.0] = true;
-        }
-        let mut drop_bits: Vec<VarId> = Vec::new();
-        for (vi, vb) in self.bits.iter().enumerate() {
-            if !kept[vi] {
-                drop_bits.extend(vb.cur.iter().copied());
-            }
-        }
-        let set = self.mgr.varset(&drop_bits);
-        self.mgr.try_exists(f, set)
     }
 
     /// Roots that must survive any garbage collection: every precomputed
@@ -859,34 +832,6 @@ mod tests {
             blocked.mgr_ref().node_count(frame_b) >= inter.mgr_ref().node_count(frame_i),
             "blocked frame must not be smaller"
         );
-    }
-
-    #[test]
-    fn project_onto_empty_and_full_keep_sets() {
-        let p = mini();
-        let mut ctx = SymbolicContext::new(p);
-        let f = ctx.compile(&Expr::var(VarIdx(0)).eq(Expr::int(1)));
-        // Keeping every variable quantifies nothing.
-        let full = ctx.project_onto(f, &[VarIdx(0), VarIdx(1)]);
-        assert_eq!(full, f);
-        // Keeping nothing quantifies all current bits: any non-empty
-        // predicate projects to true, the empty one stays false.
-        let none = ctx.project_onto(f, &[]);
-        assert!(none.is_true());
-        let empty = ctx.project_onto(Bdd::FALSE, &[]);
-        assert!(empty.is_false());
-        // Projection onto one variable drops only the other's bits.
-        let both = {
-            let g = ctx.compile(&Expr::var(VarIdx(1)).eq(Expr::int(2)));
-            ctx.mgr().and(f, g)
-        };
-        // (re-intersect with the state space: projection frees the
-        // dropped variable's bits beyond its valid codes)
-        let onto_b = ctx.project_onto(both, &[VarIdx(1)]);
-        let all = ctx.all_states();
-        let onto_b = ctx.mgr().and(onto_b, all);
-        let b2 = ctx.compile(&Expr::var(VarIdx(1)).eq(Expr::int(2)));
-        assert_eq!(onto_b, b2);
     }
 
     #[test]

@@ -46,11 +46,24 @@
 //! ([`has_cycle`]) serves the convergence verifier, which only needs one
 //! yes/no answer for the whole relation.
 //!
+//! badTrans asks about a relation with more structure:
+//! [`try_cyclic_added_groups`] serves it. Preprocessing leaves `δ_p | ¬I`
+//! acyclic, and badTrans adds only groups with no transition in an SCC,
+//! so the synthesized relation restricted to `¬I` stays acyclic after
+//! every step. Every cycle of `(pss ∪ added) | ¬I` therefore uses an added
+//! transition, and leads from a target of `added` back to a source of
+//! `added`. A forward closure from the targets that never meets a source
+//! ([`try_reaches_back`]) proves that no cycle exists and answers "no" for
+//! every group without trimming; when it meets one, the full check runs.
+//!
 //! Tick, deadline and cancellation budgets are honoured throughout. The
-//! node ceiling is *not* enforced inside these functions: their live sets
-//! (the core, the undecided groups' transitions, the decomposition
-//! worklists) hold handles that are not registered GC roots, so node
-//! pressure surfaces at the caller's next safe point instead.
+//! node ceiling is enforced once per pivot round of [`try_cyclic_groups`]
+//! and once per layer of [`try_reaches_back`]. Their arguments and live
+//! handles (the core, the undecided groups' transitions, the SCCs built,
+//! the frontier) survive the collection it may run; every other handle
+//! the caller holds must be registered
+//! ([`SymbolicContext::register_roots`]). The full decompositions do not
+//! enforce the ceiling.
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
 use stsyn_bdd::{Bdd, BddError};
@@ -152,6 +165,19 @@ pub fn try_cyclic_groups(
     x: Bdd,
     groups: &[Bdd],
 ) -> Result<CycleCheck, BddError> {
+    let args: Vec<Bdd> = [relation, x].into_iter().chain(groups.iter().copied()).collect();
+    check_groups(ctx, relation, x, groups, &args)
+}
+
+/// [`try_cyclic_groups`], keeping `args` (the caller's arguments) alive
+/// through a collection at the node ceiling.
+fn check_groups(
+    ctx: &mut SymbolicContext,
+    relation: Bdd,
+    x: Bdd,
+    groups: &[Bdd],
+    args: &[Bdd],
+) -> Result<CycleCheck, BddError> {
     let mut cyclic = vec![false; groups.len()];
     let mut sccs = Vec::new();
     let mut core = trim(ctx, relation, x)?;
@@ -168,6 +194,13 @@ pub fn try_cyclic_groups(
     let mut pivots = 0usize;
     while let Some(&(supplier, edges)) = live.first() {
         pivots += 1;
+        let roots: Vec<Bdd> = [core]
+            .into_iter()
+            .chain(args.iter().copied())
+            .chain(live.iter().map(|&(_, e)| e))
+            .chain(sccs.iter().copied())
+            .collect();
+        ctx.mgr().enforce_node_budget(&roots)?;
         // The current-state bits of a satisfying assignment of `edges` are
         // a source state of one of its transitions.
         let pivot = pick_singleton(ctx, edges)?;
@@ -231,6 +264,68 @@ pub fn try_cyclic_groups(
         );
     }
     Ok(CycleCheck { cyclic, sccs })
+}
+
+/// [`try_cyclic_groups`] for a `relation` (restricted to `x`) whose
+/// transitions outside `added ⊆ relation` form no cycle. When
+/// [`try_reaches_back`] says no cycle can pass through `added`, every
+/// group answers "no" and no SCC is built; otherwise it is
+/// [`try_cyclic_groups`]. See the module docs for why it is exact.
+#[must_use = "a budget violation is reported through the Result"]
+pub fn try_cyclic_added_groups(
+    ctx: &mut SymbolicContext,
+    relation: Bdd,
+    added: Bdd,
+    x: Bdd,
+    groups: &[Bdd],
+) -> Result<CycleCheck, BddError> {
+    let args: Vec<Bdd> = [relation, added, x].into_iter().chain(groups.iter().copied()).collect();
+    if reaches_back(ctx, relation, added, &args)? {
+        check_groups(ctx, relation, x, groups, &args)
+    } else {
+        Ok(CycleCheck { cyclic: vec![false; groups.len()], sccs: Vec::new() })
+    }
+}
+
+/// Is some source of `added` reachable inside `relation` from some
+/// target of `added` (in zero or more steps)? If not, no cycle of
+/// `relation` uses a transition of `added`. Expands one breadth-first
+/// layer at a time and stops at the first layer that meets a source.
+#[must_use = "a budget violation is reported through the Result"]
+pub fn try_reaches_back(
+    ctx: &mut SymbolicContext,
+    relation: Bdd,
+    added: Bdd,
+) -> Result<bool, BddError> {
+    reaches_back(ctx, relation, added, &[relation, added])
+}
+
+/// [`try_reaches_back`], keeping `args` (the caller's arguments) alive
+/// through a collection at the node ceiling.
+fn reaches_back(
+    ctx: &mut SymbolicContext,
+    relation: Bdd,
+    added: Bdd,
+    args: &[Bdd],
+) -> Result<bool, BddError> {
+    let all = ctx.all_states();
+    let mut frontier = ctx.try_img(added, all)?;
+    let mut reach = frontier;
+    loop {
+        let roots: Vec<Bdd> = [reach, frontier].into_iter().chain(args.iter().copied()).collect();
+        ctx.mgr().enforce_node_budget(&roots)?;
+        // A state of the layer is a source of `added` iff it meets `added`
+        // as a relation: no source set needs building.
+        if ctx.mgr().try_intersects(frontier, added)? {
+            return Ok(true);
+        }
+        let step = ctx.try_img(relation, frontier)?;
+        frontier = ctx.mgr().try_diff(step, reach)?;
+        if frontier.is_false() {
+            return Ok(false);
+        }
+        reach = ctx.mgr().try_or(reach, frontier)?;
+    }
 }
 
 /// Decompose `relation | x` into its **non-trivial** SCCs (components

@@ -8,6 +8,9 @@
 //! (`tests/bench_counters.rs`). `two_ring.csv` is left out: its one
 //! instance, TR² with 8 processes, takes seconds even in release.
 //!
+//! Every checked-in series must also have the full sweep's rows, so a
+//! trimmed `--fast` run cannot stand in for it.
+//!
 //! After a deliberate change to what the heuristic decides, regenerate
 //! the files with `cargo run --release -p stsyn-bench --bin reproduce --
 //! all`.
@@ -15,7 +18,9 @@
 use std::collections::HashMap;
 use stsyn_bench::{
     coloring_sweep, domain_sweep, matching_sweep, rows_to_csv, scc_algorithms,
-    schedule_sweep_matching, symbolic_vs_explicit, token_ring_sweep, variable_order,
+    schedule_sweep_matching, symbolic_vs_explicit, token_ring_sweep, variable_order, CHECK_NS,
+    COLORING_KS, DOMAIN_DS, MATCHING_KS, RANKS_KS, SCC_ALGORITHM_KS, SCHEDULE_K, TOKEN_RING_NS,
+    TWO_RING_RD, VARIABLE_ORDER_TRS,
 };
 
 /// The synthesis columns that follow from the heuristic's decisions.
@@ -53,12 +58,16 @@ fn first_row(csv: &str) -> HashMap<String, String> {
     cells(header).into_iter().zip(cells(row)).collect()
 }
 
+/// The checked-in `results/<file>`.
+fn stored(file: &str) -> String {
+    let path = format!("{}/results/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 /// Compare `columns` of the fresh CSV's first row with the checked-in
 /// `results/<file>`; every column name must appear in both.
 fn assert_matches_results(file: &str, fresh: &str, columns: &[&str]) {
-    let path = format!("{}/results/{file}", env!("CARGO_MANIFEST_DIR"));
-    let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let (stored, fresh) = (first_row(&stored), first_row(fresh));
+    let (stored, fresh) = (first_row(&stored(file)), first_row(fresh));
     for &col in columns {
         let (Some(want), Some(got)) = (stored.get(col), fresh.get(col)) else {
             panic!("{file}: column `{col}` missing (regenerate with `reproduce all`)");
@@ -102,5 +111,30 @@ fn smallest_instance_of_each_ablation_matches_results() {
         let columns = deterministic(&fresh);
         let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
         assert_matches_results(file, &fresh, &columns);
+    }
+}
+
+#[test]
+fn every_series_has_the_full_sweeps_rows() {
+    let sizes = |ks: &[usize]| ks.iter().map(usize::to_string).collect::<Vec<_>>();
+    for (file, processes) in [
+        ("matching.csv", MATCHING_KS.full),
+        ("coloring.csv", COLORING_KS.full),
+        ("token_ring.csv", TOKEN_RING_NS.full),
+    ] {
+        let csv = stored(file);
+        let column: Vec<String> = csv.lines().skip(1).map(|l| cells(l)[0].clone()).collect();
+        assert_eq!(column, sizes(processes), "{file}: not the full sweep (`reproduce all`)");
+    }
+    for (file, rows) in [
+        ("two_ring.csv", TWO_RING_RD.full.len()),
+        ("domains.csv", DOMAIN_DS.full.len()),
+        ("schedules.csv", SCHEDULE_K.full[0]),
+        ("scc_algorithms.csv", 3 * SCC_ALGORITHM_KS.full.len()),
+        ("symbolic_vs_explicit.csv", RANKS_KS.full.len() + CHECK_NS.full.len()),
+        ("variable_order.csv", VARIABLE_ORDER_TRS.full.len()),
+    ] {
+        let got = stored(file).lines().count() - 1;
+        assert_eq!(got, rows, "{file}: {got} rows, the full sweep has {rows} (`reproduce all`)");
     }
 }
