@@ -212,11 +212,6 @@ impl Manager {
         self.budget.active = None;
     }
 
-    /// Is a budget currently installed?
-    pub fn has_budget(&self) -> bool {
-        self.budget.active.is_some()
-    }
-
     /// Operation ticks consumed since the last [`Manager::set_budget`]
     /// (or since manager creation if none was ever installed).
     pub fn ticks_used(&self) -> u64 {

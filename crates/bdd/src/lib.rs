@@ -20,10 +20,7 @@
 //!   handles remain valid across collections,
 //! * **dynamic variable reordering** — in-place adjacent-level swaps and
 //!   Rudell's sifting ([`Manager::sift`]); handles survive, interned
-//!   varsets/rename maps are generation-checked,
-//! * the Coudert–Madre **don't-care minimizers**
-//!   ([`Manager::constrain`] / [`Manager::restrict`]),
-//! * DOT export for debugging and visualization.
+//!   varsets/rename maps are generation-checked.
 //!
 //! ## Design
 //!
@@ -65,11 +62,9 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod dot;
 mod explore;
 mod hash;
 mod manager;
-mod minimize;
 mod ops;
 mod quant;
 mod rename;

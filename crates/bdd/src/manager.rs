@@ -204,12 +204,6 @@ impl Manager {
         self.perm[v.0 as usize]
     }
 
-    /// The variable currently sitting at `level`.
-    #[inline]
-    pub fn var_at(&self, level: u32) -> VarId {
-        VarId(self.invperm[level as usize])
-    }
-
     /// The reorder generation (see [`Manager::sift`]); varsets and rename
     /// maps are only usable within the generation they were interned in.
     #[inline]

@@ -33,7 +33,7 @@ use crate::manager::{Bdd, Manager, TERMINAL_LEVEL};
 use crate::{BddError, VarId};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// File magic: identifies a stsyn-bdd dump.
 pub const MAGIC: &[u8; 8] = b"STSYNBDD";
@@ -350,12 +350,6 @@ impl Manager {
         let crc = crc32(&buf);
         push_u32(&mut buf, crc);
         buf
-    }
-
-    /// Serialize `roots` to `w` (see [`Manager::dump_bdds_to_vec`] for the
-    /// format).
-    pub fn dump_bdds(&self, roots: &[Bdd], w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(&self.dump_bdds_to_vec(roots))
     }
 
     /// Deserialize a dump into a **fresh** manager, restoring the dumped

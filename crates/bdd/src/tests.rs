@@ -8,9 +8,8 @@ fn assignments(n: usize) -> Vec<Vec<bool>> {
     (0..1usize << n).map(|bits| (0..n).map(|i| (bits >> i) & 1 == 1).collect()).collect()
 }
 
-/// A tiny random-expression generator (deterministic, seedless LCG) used to
-/// fuzz the algebra against the truth-table oracle without pulling proptest
-/// into the unit-test tier.
+/// A tiny deterministic LCG that drives every random test of the BDD
+/// package against its truth-table oracle.
 struct Lcg(u64);
 
 impl Lcg {
@@ -77,6 +76,10 @@ fn fuzz_algebra_against_truth_tables() {
             rebuilt = m.or(rebuilt, c);
         }
         assert_eq!(rebuilt, f, "round {round}: cube cover not canonical");
+        // Canonicity: two functions share a handle iff they agree everywhere.
+        let (g, oracle_g) = random_expr(&mut m, &vars, &mut rng, 5);
+        let equivalent = assignments(5).iter().all(|a| oracle(a) == oracle_g(a));
+        assert_eq!(f == g, equivalent, "round {round}: handle equality is not equivalence");
     }
 }
 
@@ -545,9 +548,10 @@ fn computed_table_differential_against_truth_tables() {
 
 /// The open-addressed unique table under in-place rewrites, backward-shift
 /// deletion and rebuilds: random functions go through `swap_adjacent`,
-/// `sift` and `gc`. After each, the manager passes `check_consistency`,
-/// every node in the functions' cones is found by its own key, and every
-/// function keeps its truth table.
+/// `sift` (which must not grow them) and `gc`. After each, the manager
+/// passes `check_consistency`, every node in the functions' cones is found
+/// by its own key, every function keeps its truth table, and a dump of
+/// them round-trips in the order reached.
 #[test]
 fn unique_table_survives_swaps_sift_and_gc() {
     for seed in 0..table_seeds() {
@@ -565,7 +569,8 @@ fn unique_table_survives_swaps_sift_and_gc() {
             let roots: Vec<Bdd> = fs.iter().map(|e| e.0).collect();
             match rng.next() % 4 {
                 0 => {
-                    m.sift(&roots);
+                    let (before, after) = m.sift(&roots);
+                    assert!(after <= before, "{ctx}, round {round}: sift grew {before} → {after}");
                 }
                 1 => {
                     // Drop a third of the functions, then collect.
@@ -594,6 +599,30 @@ fn unique_table_survives_swaps_sift_and_gc() {
             for &(f, t) in &fs {
                 assert_eq!(tt_of(&m, f, &mut memo), t, "{ctx}: {f:?} changed its function");
             }
+            // A dump in this order loads into a fresh manager with the same
+            // order, node counts, functions and bytes; into a manager in
+            // the default order with the same functions; and into `m` as
+            // the same handles. A flipped byte or a cut is an error.
+            let roots: Vec<Bdd> = fs.iter().map(|e| e.0).collect();
+            let dump = m.dump_bdds_to_vec(&roots);
+            let (fresh, loaded) = Manager::load_bdds(&mut &dump[..]).expect(&ctx);
+            assert_eq!(fresh.current_order(), m.current_order(), "{ctx}: loaded order");
+            assert_eq!(fresh.node_count_many(&loaded), m.node_count_many(&roots), "{ctx}");
+            assert_eq!(fresh.dump_bdds_to_vec(&loaded), dump, "{ctx}: re-dump differs");
+            let mut other = Manager::new();
+            other.new_vars(TT_VARS);
+            let translated = other.load_bdds_into(&mut &dump[..]).expect(&ctx);
+            let (mut fresh_memo, mut other_memo) = Default::default();
+            for (k, &(_, t)) in fs.iter().enumerate() {
+                assert_eq!(tt_of(&fresh, loaded[k], &mut fresh_memo), t, "{ctx}: loaded");
+                assert_eq!(tt_of(&other, translated[k], &mut other_memo), t, "{ctx}: translated");
+            }
+            assert_eq!(m.load_bdds_into(&mut &dump[..]).expect(&ctx), roots, "{ctx}: reloaded");
+            let mut corrupt = dump.clone();
+            corrupt[(rng.next() as usize) % dump.len()] ^= 1 << (rng.next() % 8);
+            assert!(Manager::load_bdds(&mut &corrupt[..]).is_err(), "{ctx}: flip accepted");
+            let cut = (rng.next() as usize) % dump.len();
+            assert!(Manager::load_bdds(&mut &dump[..cut]).is_err(), "{ctx}: cut accepted");
         }
         assert!(m.unique.capacity() > 1 << 12, "{ctx}: the unique table never grew");
     }

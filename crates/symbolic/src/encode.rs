@@ -34,7 +34,6 @@ struct VarBits {
 pub struct SymbolicContext {
     protocol: Protocol,
     mgr: Manager,
-    order: VarOrder,
     bits: Vec<VarBits>,
     /// Conjunction of valid-code constraints over current bits.
     valid_cur: Bdd,
@@ -183,7 +182,6 @@ impl SymbolicContext {
         SymbolicContext {
             protocol,
             mgr,
-            order,
             bits,
             valid_cur,
             valid_primed,
@@ -237,11 +235,6 @@ impl SymbolicContext {
     /// The encoded protocol.
     pub fn protocol(&self) -> &Protocol {
         &self.protocol
-    }
-
-    /// The variable layout this context was built with.
-    pub fn var_order(&self) -> VarOrder {
-        self.order
     }
 
     /// Mutable access to the underlying BDD manager.
@@ -300,11 +293,6 @@ impl SymbolicContext {
     /// The cube `v' = val` over primed bits.
     pub fn value_primed(&self, v: VarIdx, val: u32) -> Bdd {
         self.value_primed[v.0][val as usize]
-    }
-
-    /// The identity relation `v' = v` for one variable.
-    pub fn identity_of(&self, v: VarIdx) -> Bdd {
-        self.var_identity[v.0]
     }
 
     /// The frame relation of process `j`: every non-written variable
