@@ -7,10 +7,10 @@
 //!
 //! Artifacts: `table1`, `fig6`/`fig7` (matching), `fig8`/`fig9`
 //! (coloring), `fig10`/`fig11` (token ring |D| = 4), `tr2` (§VI-C),
-//! `domains`, `schedules`, and the ablations `scc_algorithms`,
-//! `symbolic_vs_explicit` and `variable_order`. CSV copies of every series
-//! land in `results/`. `--fast` trims each sweep to the sizes that finish
-//! in seconds and writes to the git-ignored `results/fast/` instead.
+//! `domains`, `schedules`, and the ablations `symbolic_vs_explicit` and
+//! `variable_order`. CSV copies of every series land in `results/`.
+//! `--fast` trims each sweep to the sizes that finish in seconds and
+//! writes to the git-ignored `results/fast/` instead.
 
 use std::collections::BTreeSet;
 use stsyn_bench::*;
@@ -26,7 +26,6 @@ const ALL: &[&str] = &[
     "tr2",
     "domains",
     "schedules",
-    "scc_algorithms",
     "symbolic_vs_explicit",
     "variable_order",
 ];
@@ -182,15 +181,6 @@ fn main() {
         }
         println!();
         write("schedules.csv", rows_to_csv(&rows));
-    }
-
-    if wanted.contains("scc_algorithms") {
-        let ks = SCC_ALGORITHM_KS.get(fast);
-        eprintln!("running SCC algorithms on Gouda–Acharya matching K = {ks:?}…");
-        let csv = scc_algorithms(ks);
-        println!("== Ablation: symbolic SCC algorithms (Gouda–Acharya matching, ¬I) ==");
-        println!("{}", format_csv_table(&csv));
-        write("scc_algorithms.csv", csv);
     }
 
     if wanted.contains("symbolic_vs_explicit") {

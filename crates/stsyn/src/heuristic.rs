@@ -204,27 +204,27 @@ impl Outcome {
     /// (closure + Proposition II.1).
     pub fn verify_strong(&mut self) -> bool {
         closure_holds(&mut self.ctx, self.pss, self.i)
-            && strong_convergence(&mut self.ctx, self.pss, self.i).holds
+            && strong_convergence(&mut self.ctx, self.pss, self.i)
     }
 
     /// Fallible variant of [`Outcome::verify_strong`] for budgeted runs.
     #[must_use = "failures are reported through the Result"]
     pub fn try_verify_strong(&mut self) -> Result<bool, BddError> {
         Ok(try_closure_holds(&mut self.ctx, self.pss, self.i)?
-            && try_strong_convergence(&mut self.ctx, self.pss, self.i)?.holds)
+            && try_strong_convergence(&mut self.ctx, self.pss, self.i)?)
     }
 
     /// Independently verify weak stabilization.
     pub fn verify_weak(&mut self) -> bool {
         closure_holds(&mut self.ctx, self.pss, self.i)
-            && weak_convergence(&mut self.ctx, self.pss, self.i).holds
+            && weak_convergence(&mut self.ctx, self.pss, self.i)
     }
 
     /// Fallible variant of [`Outcome::verify_weak`] for budgeted runs.
     #[must_use = "failures are reported through the Result"]
     pub fn try_verify_weak(&mut self) -> Result<bool, BddError> {
         Ok(try_closure_holds(&mut self.ctx, self.pss, self.i)?
-            && try_weak_convergence(&mut self.ctx, self.pss, self.i)?.holds)
+            && try_weak_convergence(&mut self.ctx, self.pss, self.i)?)
     }
 
     /// `δ_pss | I` must equal `δ_p | I` (Problem III.1, output constraint

@@ -9,27 +9,6 @@ use crate::encode::{SymbolicContext, INFALLIBLE};
 use crate::scc::try_has_cycle;
 use stsyn_bdd::{Bdd, BddError};
 
-/// Outcome of a convergence check, with symbolic witnesses.
-#[derive(Debug, Clone)]
-pub struct Verdict {
-    /// Does the property hold?
-    pub holds: bool,
-    /// A non-empty set of witness states when it does not (deadlocks, a
-    /// cycle region, or states that cannot reach `I`, depending on the
-    /// check).
-    pub witness: Bdd,
-}
-
-impl Verdict {
-    pub(crate) fn ok() -> Self {
-        Verdict { holds: true, witness: Bdd::FALSE }
-    }
-
-    pub(crate) fn fail(witness: Bdd) -> Self {
-        Verdict { holds: false, witness }
-    }
-}
-
 /// Is `i` closed in `relation`? (`T ∧ I ∧ ¬I'` must be empty.)
 pub fn closure_holds(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd) -> bool {
     try_closure_holds(ctx, relation, i).expect(INFALLIBLE)
@@ -69,7 +48,7 @@ pub fn try_deadlock_states(
 
 /// Strong convergence to `i` (Proposition II.1): no deadlock state in
 /// `¬I` and no non-progress cycle in `T | ¬I`.
-pub fn strong_convergence(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd) -> Verdict {
+pub fn strong_convergence(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd) -> bool {
     try_strong_convergence(ctx, relation, i).expect(INFALLIBLE)
 }
 
@@ -79,34 +58,18 @@ pub fn try_strong_convergence(
     ctx: &mut SymbolicContext,
     relation: Bdd,
     i: Bdd,
-) -> Result<Verdict, BddError> {
-    let dead = try_deadlock_states(ctx, relation, i)?;
-    if !dead.is_false() {
-        return Ok(Verdict::fail(dead));
+) -> Result<bool, BddError> {
+    if !try_deadlock_states(ctx, relation, i)?.is_false() {
+        return Ok(false);
     }
     let not_i = ctx.try_not_states(i)?;
     let restricted = ctx.try_restrict_relation(relation, not_i)?;
-    if try_has_cycle(ctx, restricted, not_i)? {
-        // Witness: the trimmed cyclic core.
-        let mut core = not_i;
-        loop {
-            let with_succ = ctx.try_pre(restricted, core)?;
-            let with_pred = ctx.try_img(restricted, core)?;
-            let mut next = ctx.mgr().try_and(core, with_succ)?;
-            next = ctx.mgr().try_and(next, with_pred)?;
-            if next == core {
-                break;
-            }
-            core = next;
-        }
-        return Ok(Verdict::fail(core));
-    }
-    Ok(Verdict::ok())
+    Ok(!try_has_cycle(ctx, restricted, not_i)?)
 }
 
 /// Weak convergence to `i`: every state can reach `i` (the backward
 /// closure of `i` covers the state space).
-pub fn weak_convergence(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd) -> Verdict {
+pub fn weak_convergence(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd) -> bool {
     try_weak_convergence(ctx, relation, i).expect(INFALLIBLE)
 }
 
@@ -116,32 +79,9 @@ pub fn try_weak_convergence(
     ctx: &mut SymbolicContext,
     relation: Bdd,
     i: Bdd,
-) -> Result<Verdict, BddError> {
-    let reach = ctx.try_backward_closure(relation, i)?;
-    let missing = ctx.try_not_states(reach)?;
-    Ok(if missing.is_false() { Verdict::ok() } else { Verdict::fail(missing) })
-}
-
-/// Full self-stabilization check: closure plus the requested flavor of
-/// convergence.
-pub fn self_stabilizing(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd, strong: bool) -> bool {
-    try_self_stabilizing(ctx, relation, i, strong).expect(INFALLIBLE)
-}
-
-/// Fallible variant of [`self_stabilizing`] for budgeted runs.
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_self_stabilizing(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    i: Bdd,
-    strong: bool,
 ) -> Result<bool, BddError> {
-    Ok(try_closure_holds(ctx, relation, i)?
-        && if strong {
-            try_strong_convergence(ctx, relation, i)?.holds
-        } else {
-            try_weak_convergence(ctx, relation, i)?.holds
-        })
+    let reach = ctx.try_backward_closure(relation, i)?;
+    Ok(ctx.try_not_states(reach)?.is_false())
 }
 
 #[cfg(test)]
@@ -171,9 +111,9 @@ mod tests {
         let t = ctx.protocol_relation();
         let i = ctx.compile(&c().eq(Expr::int(3)));
         assert!(closure_holds(&mut ctx, t, i));
-        assert!(strong_convergence(&mut ctx, t, i).holds);
-        assert!(weak_convergence(&mut ctx, t, i).holds);
-        assert!(self_stabilizing(&mut ctx, t, i, true));
+        assert!(strong_convergence(&mut ctx, t, i));
+        assert!(weak_convergence(&mut ctx, t, i));
+        assert!(closure_holds(&mut ctx, t, i) && strong_convergence(&mut ctx, t, i));
     }
 
     #[test]
@@ -186,11 +126,9 @@ mod tests {
         let dead = deadlock_states(&mut ctx, t, i);
         assert_eq!(ctx.count_states(dead), 1.0);
         assert_eq!(ctx.pick_state(dead).unwrap(), vec![2]);
-        let verdict = strong_convergence(&mut ctx, t, i);
-        assert!(!verdict.holds);
-        assert_eq!(verdict.witness, dead);
+        assert!(!strong_convergence(&mut ctx, t, i));
         // And weak convergence fails for the same reason here.
-        assert!(!weak_convergence(&mut ctx, t, i).holds);
+        assert!(!weak_convergence(&mut ctx, t, i));
     }
 
     #[test]
@@ -203,13 +141,10 @@ mod tests {
         let t = ctx.protocol_relation();
         let i = ctx.compile(&c().eq(Expr::int(2)));
         assert!(closure_holds(&mut ctx, t, i)); // 2 has no outgoing action
-        let strong = strong_convergence(&mut ctx, t, i);
-        assert!(!strong.holds);
-        // The witness covers the 0↔1 cycle.
-        assert_eq!(ctx.count_states(strong.witness), 2.0);
-        assert!(weak_convergence(&mut ctx, t, i).holds);
-        assert!(self_stabilizing(&mut ctx, t, i, false));
-        assert!(!self_stabilizing(&mut ctx, t, i, true));
+        assert!(!strong_convergence(&mut ctx, t, i));
+        assert!(weak_convergence(&mut ctx, t, i));
+        assert!(closure_holds(&mut ctx, t, i) && weak_convergence(&mut ctx, t, i));
+        assert!(!(closure_holds(&mut ctx, t, i) && strong_convergence(&mut ctx, t, i)));
     }
 
     #[test]
@@ -232,6 +167,6 @@ mod tests {
         let t = ctx.protocol_relation();
         let i = ctx.compile(&c().eq(Expr::int(2)));
         assert!(deadlock_states(&mut ctx, t, i).is_false());
-        assert!(strong_convergence(&mut ctx, t, i).holds);
+        assert!(strong_convergence(&mut ctx, t, i));
     }
 }

@@ -15,11 +15,11 @@
 //!   heuristic,
 //! * [`scc`] — the cycle check `Identify_Resolve_Cycles` runs (which
 //!   groups have a transition inside a non-trivial SCC, building only the
-//!   SCCs that decide it), a cheap trimming-based cycle-existence test,
-//!   and full symbolic SCC decomposition: the skeleton-based SCC-Find of
-//!   Gentilini–Piazza–Policriti (the algorithm the paper's `Detect_SCC`
-//!   implements) plus the lockstep and Xie–Beerel algorithms for
-//!   cross-validation and ablation,
+//!   SCCs that decide it) and a cycle-existence test for the verifier. The
+//!   check replaces the skeleton-based SCC-Find of Gentilini–Piazza–
+//!   Policriti that the paper's `Detect_SCC` runs over the whole graph,
+//!   which builds every SCC where the check builds only those that decide
+//!   a group,
 //! * [`check`] — symbolic closure / deadlock / strong- and weak-
 //!   convergence checking (Proposition II.1), used to *verify* every
 //!   synthesized protocol,
@@ -36,11 +36,11 @@ pub mod ranks;
 pub mod scc;
 pub mod trace;
 
-pub use check::{closure_holds, deadlock_states, strong_convergence, weak_convergence, Verdict};
+pub use check::{closure_holds, deadlock_states, strong_convergence, weak_convergence};
 pub use encode::{SymbolicContext, VarOrder};
 pub use ranks::{
     compute_ranks, try_compute_ranks, try_compute_ranks_resumed, RankLayerObserver, RankTable,
     RanksInterrupted,
 };
-pub use scc::{has_cycle, scc_decomposition, SccAlgorithm};
+pub use scc::has_cycle;
 pub use stsyn_bdd::{BddError, Budget, Resource};

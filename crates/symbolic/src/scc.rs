@@ -1,4 +1,4 @@
-//! Symbolic cycle checks and strongly-connected-component decomposition.
+//! Symbolic cycle checks.
 //!
 //! `Identify_Resolve_Cycles` (Fig. 3 of the paper) and the preprocessing
 //! step of §V ask one yes/no question per group: does the group have a
@@ -38,18 +38,11 @@
 //! other SCC as it was. Each round removes at least one transition, one
 //! leaving `s`, from the group that supplied `s`, so the loop ends.
 //!
-//! The full decomposition, with the skeleton-based SCC-Find of Gentilini,
-//! Piazza and Policriti ("Computing strongly connected components in a
-//! linear number of symbolic steps", SODA 2003) that STSyn used, stays
-//! here ([`SccAlgorithm::Skeleton`]) along with two classical alternatives
-//! for cross-validation and for the ablation benchmark:
-//!
-//! * [`SccAlgorithm::Lockstep`] — Bloem–Gabow–Somenzi lockstep search,
-//! * [`SccAlgorithm::XieBeerel`] — the original forward/backward-set
-//!   algorithm.
-//!
-//! All three return the same partition (verified against explicit Tarjan
-//! in the property tests). A cheaper trimming-based *cycle existence* test
+//! This check replaces the skeleton-based SCC-Find of Gentilini, Piazza
+//! and Policriti ("Computing strongly connected components in a linear
+//! number of symbolic steps", SODA 2003) that STSyn runs over the whole
+//! graph: a full decomposition builds every SCC, where the check builds
+//! only those that decide a group. A cycle *existence* test
 //! ([`has_cycle`]) serves the convergence verifier, which only needs one
 //! yes/no answer for the whole relation.
 //!
@@ -69,31 +62,18 @@
 //! [`try_reaches_back`]. Their arguments and live handles (the core so
 //! far, the undecided groups' transitions, the SCCs built, the frontier)
 //! survive the collection it may run; every other handle the caller
-//! holds must be registered ([`SymbolicContext::register_roots`]). The
-//! full decompositions do not enforce the ceiling.
+//! holds must be registered ([`SymbolicContext::register_roots`]).
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
 use stsyn_bdd::{Bdd, BddError};
 use stsyn_obs::{Json, TraceLevel};
 
-/// Which symbolic SCC algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SccAlgorithm {
-    /// Gentilini–Piazza–Policriti skeleton-based SCC-Find (the paper's
-    /// choice; linear number of symbolic steps).
-    Skeleton,
-    /// Bloem–Gabow–Somenzi lockstep search (O(n log n) symbolic steps).
-    Lockstep,
-    /// Xie–Beerel forward/backward decomposition.
-    XieBeerel,
-}
-
 /// Does `relation` restricted to `x` contain a cycle?
 ///
-/// Computed by trimming: repeatedly drop states lacking a successor or a
-/// predecessor inside the set; the fixpoint is non-empty iff a cycle
-/// exists. Much cheaper than a full SCC decomposition when only existence
-/// matters (Proposition II.1's second condition).
+/// Computed as the forward fixpoint `νZ. x ∧ pre(Z)`: repeatedly drop the
+/// states without a successor inside the set. The fixpoint holds the
+/// states with an infinite path inside `x`, so it is non-empty iff a
+/// cycle exists (Proposition II.1's second condition).
 pub fn has_cycle(ctx: &mut SymbolicContext, relation: Bdd, x: Bdd) -> bool {
     try_has_cycle(ctx, relation, x).expect(INFALLIBLE)
 }
@@ -130,14 +110,14 @@ fn forward_core(ctx: &mut SymbolicContext, relation: Bdd, x: Bdd) -> Result<Bdd,
 
 /// νZ. X ∧ img(Z): states into which an infinite path inside `x` leads,
 /// that is, the states of `x` reachable inside `x` from a cycle inside
-/// `x`. Returns the fixpoint and the number of images it took. With
-/// `args`, the node ceiling is enforced once per iteration, keeping the
-/// set so far and `args` alive.
+/// `x`. Returns the fixpoint and the number of images it took. The node
+/// ceiling is enforced once per iteration, keeping the set so far and
+/// `args` alive.
 fn backward_core(
     ctx: &mut SymbolicContext,
     relation: Bdd,
     x: Bdd,
-    args: Option<&[Bdd]>,
+    args: &[Bdd],
 ) -> Result<(Bdd, usize), BddError> {
     let mut set = x;
     let mut iterations = 0;
@@ -145,10 +125,8 @@ fn backward_core(
         if set.is_false() {
             return Ok((set, iterations));
         }
-        if let Some(args) = args {
-            let roots: Vec<Bdd> = [set].into_iter().chain(args.iter().copied()).collect();
-            ctx.mgr().enforce_node_budget(&roots)?;
-        }
+        let roots: Vec<Bdd> = [set].into_iter().chain(args.iter().copied()).collect();
+        ctx.mgr().enforce_node_budget(&roots)?;
         iterations += 1;
         let with_pred = ctx.try_img(relation, set)?;
         let next = ctx.mgr().try_and(set, with_pred)?;
@@ -206,7 +184,7 @@ fn check_groups(
     let mut cyclic = vec![false; groups.len()];
     let mut sccs = Vec::new();
     let traced = ctx.mgr_ref().tracer().level_enabled(TraceLevel::Info);
-    let (mut core, core_iterations) = backward_core(ctx, relation, x, Some(args))?;
+    let (mut core, core_iterations) = backward_core(ctx, relation, x, args)?;
     let core_nodes = if traced { ctx.mgr_ref().node_count(core) } else { 0 };
     // The undecided groups: index and the transitions still in question.
     let mut live: Vec<(usize, Bdd)> = Vec::new();
@@ -283,7 +261,6 @@ fn check_groups(
         ctx.mgr_ref().tracer().info(
             "scc.call",
             &[
-                ("algorithm", Json::from("CycleCheck")),
                 ("sccs", Json::from(sccs.len() as u64)),
                 ("iterations", Json::from(pivots as u64)),
                 ("nodes", Json::from(nodes as u64)),
@@ -357,257 +334,14 @@ fn reaches_back(
     }
 }
 
-/// Decompose `relation | x` into its **non-trivial** SCCs (components
-/// containing at least one internal transition — i.e. a cycle; a singleton
-/// qualifies only with a self-loop). Returns one state-set BDD per SCC.
-pub fn scc_decomposition(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    x: Bdd,
-    algorithm: SccAlgorithm,
-) -> Vec<Bdd> {
-    try_scc_decomposition(ctx, relation, x, algorithm).expect(INFALLIBLE)
-}
-
-/// Fallible variant of [`scc_decomposition`] for budgeted runs.
-#[must_use = "a budget violation is reported through the Result"]
-pub fn try_scc_decomposition(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    x: Bdd,
-    algorithm: SccAlgorithm,
-) -> Result<Vec<Bdd>, BddError> {
-    // Pre-trim: only states reachable from a cycle can belong to a
-    // non-trivial SCC, and one backward fixpoint finds them. The core may
-    // keep states downstream of a cycle; their SCCs are trivial and the
-    // filter below drops them. This mirrors the "restrict attention to
-    // the cyclic core" optimization in symbolic SCC practice.
-    let (core, _) = backward_core(ctx, relation, x, None)?;
-    let mut iters = 0usize;
-    let mut keep = Vec::new();
-    if !core.is_false() {
-        let mut all = match algorithm {
-            SccAlgorithm::Skeleton => skeleton_sccs(ctx, relation, core, &mut iters)?,
-            SccAlgorithm::Lockstep => lockstep_sccs(ctx, relation, core, &mut iters)?,
-            SccAlgorithm::XieBeerel => xie_beerel_sccs(ctx, relation, core, &mut iters)?,
-        };
-        keep.reserve(all.len());
-        for scc in all.drain(..) {
-            let internal = ctx.try_restrict_relation(relation, scc)?;
-            if !internal.is_false() {
-                keep.push(scc);
-            }
-        }
-    }
-    if ctx.mgr_ref().tracer().level_enabled(TraceLevel::Info) {
-        let nodes: usize = keep.iter().map(|&s| ctx.mgr_ref().node_count(s)).sum();
-        ctx.mgr_ref().tracer().info(
-            "scc.call",
-            &[
-                ("algorithm", Json::from(format!("{algorithm:?}").as_str())),
-                ("sccs", Json::from(keep.len() as u64)),
-                ("iterations", Json::from(iters as u64)),
-                ("nodes", Json::from(nodes as u64)),
-            ],
-        );
-    }
-    Ok(keep)
-}
-
 /// A single concrete state of a non-empty set, as a BDD cube.
 fn pick_singleton(ctx: &mut SymbolicContext, set: Bdd) -> Result<Bdd, BddError> {
     let state = ctx.pick_state(set).expect("pick from empty set");
     ctx.try_singleton(&state)
 }
 
-// --- Gentilini–Piazza–Policriti skeleton algorithm -----------------------
-
-/// Forward search from `start` inside `v`, returning the forward set, the
-/// skeleton path (as a node set) and its final node.
-fn skel_forward(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    v: Bdd,
-    start: Bdd,
-) -> Result<(Bdd, Bdd, Bdd), BddError> {
-    // Onion rings of the BFS.
-    let mut rings: Vec<Bdd> = Vec::new();
-    let mut fw = Bdd::FALSE;
-    let mut layer = start;
-    while !layer.is_false() {
-        rings.push(layer);
-        fw = ctx.mgr().try_or(fw, layer)?;
-        let next = ctx.try_img(relation, layer)?;
-        let in_v = ctx.mgr().try_and(next, v)?;
-        let not_fw = ctx.mgr().try_not(fw)?;
-        layer = ctx.mgr().try_and(in_v, not_fw)?;
-    }
-    // Build the skeleton path backwards from a node of the last ring.
-    let last = *rings.last().expect("start was non-empty");
-    let mut node = pick_singleton(ctx, last)?;
-    let new_n = node;
-    let mut new_s = node;
-    for ring in rings.iter().rev().skip(1) {
-        let preds = ctx.try_pre(relation, node)?;
-        let in_ring = ctx.mgr().try_and(preds, *ring)?;
-        node = pick_singleton(ctx, in_ring)?;
-        new_s = ctx.mgr().try_or(new_s, node)?;
-    }
-    Ok((fw, new_s, new_n))
-}
-
-/// SCC-Find with skeletons, iterative via an explicit worklist.
-fn skeleton_sccs(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    x: Bdd,
-    iters: &mut usize,
-) -> Result<Vec<Bdd>, BddError> {
-    let mut out = Vec::new();
-    // (vertex set V, skeleton S, skeleton head N); invariant N ⊆ S ⊆ V and
-    // S = ∅ ⟺ N = ∅.
-    let mut work: Vec<(Bdd, Bdd, Bdd)> = vec![(x, Bdd::FALSE, Bdd::FALSE)];
-    while let Some((v, s, n)) = work.pop() {
-        *iters += 1;
-        if v.is_false() {
-            continue;
-        }
-        let pivot = if s.is_false() { pick_singleton(ctx, v)? } else { pick_singleton(ctx, n)? };
-        let (fw, new_s, new_n) = skel_forward(ctx, relation, v, pivot)?;
-        // SCC(pivot) = backward closure of pivot inside FW.
-        let mut scc = pivot;
-        loop {
-            let preds = ctx.try_pre(relation, scc)?;
-            let in_fw = ctx.mgr().try_and(preds, fw)?;
-            let grown = ctx.mgr().try_or(scc, in_fw)?;
-            if grown == scc {
-                break;
-            }
-            scc = grown;
-        }
-        out.push(scc);
-        let not_scc = ctx.mgr().try_not(scc)?;
-        // Recursion 1: V ∖ FW with the surviving prefix of the old path.
-        let not_fw = ctx.mgr().try_not(fw)?;
-        let v1 = ctx.mgr().try_and(v, not_fw)?;
-        let s1 = ctx.mgr().try_and(s, not_scc)?;
-        let swallowed = ctx.mgr().try_and(scc, s)?;
-        let n1 = {
-            let preds = ctx.try_pre(relation, swallowed)?;
-            ctx.mgr().try_and(preds, s1)?
-        };
-        // If the SCC swallowed none of the old path, keep the old head.
-        let n1 = if swallowed.is_false() { ctx.mgr().try_and(n, not_scc)? } else { n1 };
-        work.push((v1, s1, n1));
-        // Recursion 2: FW ∖ SCC with the suffix of the new path.
-        let v2 = ctx.mgr().try_and(fw, not_scc)?;
-        let s2 = ctx.mgr().try_and(new_s, not_scc)?;
-        let n2 = ctx.mgr().try_and(new_n, not_scc)?;
-        work.push((v2, s2, n2));
-    }
-    Ok(out)
-}
-
-// --- Lockstep (Bloem–Gabow–Somenzi) ---------------------------------------
-
-fn lockstep_sccs(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    x: Bdd,
-    iters: &mut usize,
-) -> Result<Vec<Bdd>, BddError> {
-    let mut out = Vec::new();
-    let mut work: Vec<Bdd> = vec![x];
-    while let Some(v) = work.pop() {
-        *iters += 1;
-        if v.is_false() {
-            continue;
-        }
-        let pivot = pick_singleton(ctx, v)?;
-        let mut fw = pivot;
-        let mut bw = pivot;
-        let mut f_front = pivot;
-        let mut b_front = pivot;
-        // Advance both searches in lockstep until one stabilizes.
-        let (converged, mut other, mut other_front, other_is_fw) = loop {
-            if !f_front.is_false() {
-                let next = ctx.try_img(relation, f_front)?;
-                let in_v = ctx.mgr().try_and(next, v)?;
-                let not_fw = ctx.mgr().try_not(fw)?;
-                f_front = ctx.mgr().try_and(in_v, not_fw)?;
-                fw = ctx.mgr().try_or(fw, f_front)?;
-            }
-            if f_front.is_false() {
-                break (fw, bw, b_front, false);
-            }
-            if !b_front.is_false() {
-                let next = ctx.try_pre(relation, b_front)?;
-                let in_v = ctx.mgr().try_and(next, v)?;
-                let not_bw = ctx.mgr().try_not(bw)?;
-                b_front = ctx.mgr().try_and(in_v, not_bw)?;
-                bw = ctx.mgr().try_or(bw, b_front)?;
-            }
-            if b_front.is_false() {
-                break (bw, fw, f_front, true);
-            }
-        };
-        // Finish the slower search, but only inside the converged set.
-        while !ctx.mgr().try_and(other_front, converged)?.is_false() {
-            let next = if other_is_fw {
-                ctx.try_img(relation, other_front)?
-            } else {
-                ctx.try_pre(relation, other_front)?
-            };
-            let in_conv = ctx.mgr().try_and(next, converged)?;
-            let not_other = ctx.mgr().try_not(other)?;
-            other_front = ctx.mgr().try_and(in_conv, not_other)?;
-            other = ctx.mgr().try_or(other, other_front)?;
-        }
-        let scc = ctx.mgr().try_and(converged, other)?;
-        out.push(scc);
-        let not_scc = ctx.mgr().try_not(scc)?;
-        let rest_inside = ctx.mgr().try_and(converged, not_scc)?;
-        let not_conv = ctx.mgr().try_not(converged)?;
-        let rest_outside = ctx.mgr().try_and(v, not_conv)?;
-        work.push(rest_inside);
-        work.push(rest_outside);
-    }
-    Ok(out)
-}
-
-// --- Xie–Beerel ------------------------------------------------------------
-
-fn xie_beerel_sccs(
-    ctx: &mut SymbolicContext,
-    relation: Bdd,
-    x: Bdd,
-    iters: &mut usize,
-) -> Result<Vec<Bdd>, BddError> {
-    let mut out = Vec::new();
-    let mut work: Vec<Bdd> = vec![x];
-    while let Some(v) = work.pop() {
-        *iters += 1;
-        if v.is_false() {
-            continue;
-        }
-        let pivot = pick_singleton(ctx, v)?;
-        let fw = closure_within(ctx, relation, v, pivot, true)?;
-        let bw = closure_within(ctx, relation, v, pivot, false)?;
-        let scc = ctx.mgr().try_and(fw, bw)?;
-        out.push(scc);
-        let not_scc = ctx.mgr().try_not(scc)?;
-        let f_rest = ctx.mgr().try_and(fw, not_scc)?;
-        let b_rest = ctx.mgr().try_and(bw, not_scc)?;
-        let fw_or_bw = ctx.mgr().try_or(fw, bw)?;
-        let not_either = ctx.mgr().try_not(fw_or_bw)?;
-        let outside = ctx.mgr().try_and(v, not_either)?;
-        work.push(f_rest);
-        work.push(b_rest);
-        work.push(outside);
-    }
-    Ok(out)
-}
-
+/// The closure of `start` under `relation` (forward, or backward), inside
+/// `v`.
 fn closure_within(
     ctx: &mut SymbolicContext,
     relation: Bdd,
@@ -665,111 +399,109 @@ mod tests {
         out
     }
 
-    const ALGOS: [SccAlgorithm; 3] =
-        [SccAlgorithm::Skeleton, SccAlgorithm::Lockstep, SccAlgorithm::XieBeerel];
+    /// Ask [`cyclic_groups`] about the graph of `edges` inside `x`, with
+    /// one group per edge: each edge's verdict, and the SCCs the check
+    /// built, decoded and sorted. Every cyclic edge is decided inside its
+    /// own SCC, so the SCCs built are all the non-trivial ones.
+    fn check_edges(
+        ctx: &mut SymbolicContext,
+        edges: &[(u32, u32)],
+        x: Bdd,
+        n: u32,
+    ) -> (Vec<bool>, Vec<Vec<u32>>) {
+        let t = relation(ctx, edges);
+        let groups: Vec<Bdd> = edges.iter().map(|&e| relation(ctx, &[e])).collect();
+        let check = cyclic_groups(ctx, t, x, &groups);
+        let mut sccs: Vec<Vec<u32>> = check.sccs.iter().map(|&s| decode_scc(ctx, s, n)).collect();
+        sccs.sort();
+        (check.cyclic, sccs)
+    }
 
     #[test]
     fn single_cycle_one_scc() {
-        for algo in ALGOS {
-            let mut ctx = shell(4);
-            let t = relation(&mut ctx, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-            let all = ctx.all_states();
-            let sccs = scc_decomposition(&mut ctx, t, all, algo);
-            assert_eq!(sccs.len(), 1, "{algo:?}");
-            assert_eq!(decode_scc(&mut ctx, sccs[0], 4), vec![0, 1, 2, 3]);
-            assert!(has_cycle(&mut ctx, t, all));
-        }
+        let mut ctx = shell(4);
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let all = ctx.all_states();
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, all, 4);
+        assert_eq!(cyclic, vec![true; 4]);
+        assert_eq!(sccs, vec![vec![0, 1, 2, 3]]);
+        let t = relation(&mut ctx, &edges);
+        assert!(has_cycle(&mut ctx, t, all));
     }
 
     #[test]
     fn dag_has_no_nontrivial_scc() {
-        for algo in ALGOS {
-            let mut ctx = shell(4);
-            let t = relation(&mut ctx, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-            let all = ctx.all_states();
-            assert!(scc_decomposition(&mut ctx, t, all, algo).is_empty(), "{algo:?}");
-            assert!(!has_cycle(&mut ctx, t, all));
-        }
+        let mut ctx = shell(4);
+        let edges = [(0, 1), (1, 2), (0, 2), (2, 3)];
+        let all = ctx.all_states();
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, all, 4);
+        assert_eq!(cyclic, vec![false; 4]);
+        assert!(sccs.is_empty());
+        let t = relation(&mut ctx, &edges);
+        assert!(!has_cycle(&mut ctx, t, all));
     }
 
     #[test]
     fn self_loop_is_nontrivial() {
-        for algo in ALGOS {
-            let mut ctx = shell(3);
-            let t = relation(&mut ctx, &[(0, 1), (1, 1), (1, 2)]);
-            let all = ctx.all_states();
-            let sccs = scc_decomposition(&mut ctx, t, all, algo);
-            assert_eq!(sccs.len(), 1, "{algo:?}");
-            assert_eq!(decode_scc(&mut ctx, sccs[0], 3), vec![1]);
-        }
+        let mut ctx = shell(3);
+        let all = ctx.all_states();
+        let (cyclic, sccs) = check_edges(&mut ctx, &[(0, 1), (1, 1), (1, 2)], all, 3);
+        assert_eq!(cyclic, vec![false, true, false]);
+        assert_eq!(sccs, vec![vec![1]]);
     }
 
     #[test]
     fn two_separate_cycles() {
-        for algo in ALGOS {
-            let mut ctx = shell(6);
-            let t = relation(&mut ctx, &[(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (1, 2)]);
-            let all = ctx.all_states();
-            let mut sccs: Vec<Vec<u32>> = scc_decomposition(&mut ctx, t, all, algo)
-                .into_iter()
-                .map(|s| decode_scc(&mut ctx, s, 6))
-                .collect();
-            sccs.sort();
-            assert_eq!(sccs, vec![vec![0, 1], vec![2, 3, 4]], "{algo:?}");
-        }
+        let mut ctx = shell(6);
+        let edges = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (1, 2)];
+        let all = ctx.all_states();
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, all, 6);
+        assert_eq!(cyclic, vec![true, true, true, true, true, false]);
+        assert_eq!(sccs, vec![vec![0, 1], vec![2, 3, 4]]);
     }
 
     #[test]
     fn restricted_vertex_set_breaks_cycle() {
-        for algo in ALGOS {
-            let mut ctx = shell(4);
-            let t = relation(&mut ctx, &[(0, 1), (1, 2), (2, 0)]);
-            // Exclude state 2 from the vertex set: no cycle remains.
-            let s2 = ctx.value(VarIdx(0), 2);
-            let x = ctx.not_states(s2);
-            assert!(scc_decomposition(&mut ctx, t, x, algo).is_empty(), "{algo:?}");
-            assert!(!has_cycle(&mut ctx, t, x));
-        }
+        let mut ctx = shell(4);
+        let edges = [(0, 1), (1, 2), (2, 0)];
+        // Exclude state 2 from the vertex set: no cycle remains.
+        let s2 = ctx.value(VarIdx(0), 2);
+        let x = ctx.not_states(s2);
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, x, 4);
+        assert_eq!(cyclic, vec![false; 3]);
+        assert!(sccs.is_empty());
+        let t = relation(&mut ctx, &edges);
+        assert!(!has_cycle(&mut ctx, t, x));
     }
 
     #[test]
     fn tangled_graph_matches_tarjan_shape() {
         // A graph with nested cycles and a tail:
         // 0→1→2→0 (SCC A), 2→3, 3→4→5→3 (SCC B), 5→6 (tail), 6→6 (self).
-        for algo in ALGOS {
-            let mut ctx = shell(7);
-            let t = relation(
-                &mut ctx,
-                &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6), (6, 6)],
-            );
-            let all = ctx.all_states();
-            let mut sccs: Vec<Vec<u32>> = scc_decomposition(&mut ctx, t, all, algo)
-                .into_iter()
-                .map(|s| decode_scc(&mut ctx, s, 7))
-                .collect();
-            sccs.sort();
-            assert_eq!(sccs, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]], "{algo:?}");
-        }
+        let mut ctx = shell(7);
+        let edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6), (6, 6)];
+        let all = ctx.all_states();
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, all, 7);
+        assert_eq!(cyclic, vec![true, true, true, false, true, true, true, false, true]);
+        assert_eq!(sccs, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
     }
 
     #[test]
     fn sccs_are_disjoint_and_cover_cyclic_core() {
-        for algo in ALGOS {
-            let mut ctx = shell(8);
-            let t = relation(
-                &mut ctx,
-                &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (4, 4), (5, 6), (6, 7)],
-            );
-            let all = ctx.all_states();
-            let sccs = scc_decomposition(&mut ctx, t, all, algo);
-            let mut union = Bdd::FALSE;
-            for &s in &sccs {
-                assert!(ctx.mgr().and(union, s).is_false(), "{algo:?}: SCCs overlap");
-                union = ctx.mgr().or(union, s);
-            }
-            // Cyclic states: {0,1}, {2,3}, {4}.
-            assert_eq!(decode_scc(&mut ctx, union, 8), vec![0, 1, 2, 3, 4]);
+        let mut ctx = shell(8);
+        let edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (4, 4), (5, 6), (6, 7)];
+        let t = relation(&mut ctx, &edges);
+        let groups: Vec<Bdd> = edges.iter().map(|&e| relation(&mut ctx, &[e])).collect();
+        let all = ctx.all_states();
+        let check = cyclic_groups(&mut ctx, t, all, &groups);
+        assert_eq!(check.cyclic, vec![true, true, false, true, true, true, false, false]);
+        let mut union = Bdd::FALSE;
+        for &s in &check.sccs {
+            assert!(ctx.mgr().and(union, s).is_false(), "SCCs overlap");
+            union = ctx.mgr().or(union, s);
         }
+        // Cyclic states: {0,1}, {2,3}, {4}.
+        assert_eq!(decode_scc(&mut ctx, union, 8), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -806,7 +538,7 @@ mod tests {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6), (6, 7)];
         let t = relation(&mut ctx, &edges);
         let all = ctx.all_states();
-        let (core, _) = backward_core(&mut ctx, t, all, None).unwrap();
+        let (core, _) = backward_core(&mut ctx, t, all, &[]).unwrap();
         assert_eq!(decode_scc(&mut ctx, core, 8), vec![3, 4, 5, 6, 7]);
         let groups: Vec<Bdd> = [&[(0, 1), (1, 2)][..], &[(5, 6), (6, 7)], &[(2, 3)], &[(4, 5)]]
             .iter()
@@ -816,22 +548,20 @@ mod tests {
         assert_eq!(check.cyclic, vec![false, false, false, true]);
         let sccs: Vec<Vec<u32>> = check.sccs.iter().map(|&s| decode_scc(&mut ctx, s, 8)).collect();
         assert_eq!(sccs, vec![vec![3, 4, 5]]);
-        for algo in ALGOS {
-            let sccs: Vec<Vec<u32>> = scc_decomposition(&mut ctx, t, all, algo)
-                .into_iter()
-                .map(|s| decode_scc(&mut ctx, s, 8))
-                .collect();
-            assert_eq!(sccs, vec![vec![3, 4, 5]], "{algo:?}");
-        }
+        // One group per edge: only the cycle's edges are cyclic.
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, all, 8);
+        assert_eq!(cyclic, vec![false, false, false, true, true, true, false, false]);
+        assert_eq!(sccs, vec![vec![3, 4, 5]]);
     }
 
     #[test]
     fn empty_vertex_set() {
-        for algo in ALGOS {
-            let mut ctx = shell(3);
-            let t = relation(&mut ctx, &[(0, 1), (1, 0)]);
-            assert!(scc_decomposition(&mut ctx, t, Bdd::FALSE, algo).is_empty());
-            assert!(!has_cycle(&mut ctx, t, Bdd::FALSE));
-        }
+        let mut ctx = shell(3);
+        let edges = [(0, 1), (1, 0)];
+        let (cyclic, sccs) = check_edges(&mut ctx, &edges, Bdd::FALSE, 3);
+        assert_eq!(cyclic, vec![false; 2]);
+        assert!(sccs.is_empty());
+        let t = relation(&mut ctx, &edges);
+        assert!(!has_cycle(&mut ctx, t, Bdd::FALSE));
     }
 }

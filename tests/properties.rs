@@ -5,7 +5,9 @@
 //!   verdict equals explicit reachability under `p_im` (Thm IV.1);
 //! - every protocol the heuristic returns verifies strongly stabilizing,
 //!   symbolically and explicitly, under every schedule (Thm V.2);
-//! - all three SCC algorithms find Tarjan's non-trivial SCCs;
+//! - the cycle check, asked with one group per transition, marks exactly
+//!   the transitions inside Tarjan's SCCs and builds exactly its
+//!   non-trivial SCCs;
 //! - closure, deadlock, strong and weak verdicts equal
 //!   `check_convergence`, and `recovery_trace` is a shortest real path;
 //! - the DSL printer and parser keep a protocol's semantics and names.
@@ -14,6 +16,7 @@
 //! `PROPERTY_SEEDS` sets the number of seeds per property (default 200);
 //! CI runs a wider sweep in release mode. Every failure names its seed.
 
+use stsyn_repro::bdd::Bdd;
 use stsyn_repro::protocol::action::Action;
 use stsyn_repro::protocol::dsl;
 use stsyn_repro::protocol::explicit::{
@@ -23,11 +26,11 @@ use stsyn_repro::protocol::group::all_groups_of;
 use stsyn_repro::protocol::printer::to_dsl;
 use stsyn_repro::protocol::sim::SimRng;
 use stsyn_repro::protocol::topology::{ProcessDecl, VarDecl};
-use stsyn_repro::protocol::{Expr, ProcIdx, Protocol, VarIdx};
+use stsyn_repro::protocol::{Expr, ProcIdx, Protocol, StateId, VarIdx};
 use stsyn_repro::symbolic::check::{
     closure_holds, deadlock_states, strong_convergence, weak_convergence,
 };
-use stsyn_repro::symbolic::scc::{scc_decomposition, SccAlgorithm};
+use stsyn_repro::symbolic::scc::cyclic_groups;
 use stsyn_repro::symbolic::{compute_ranks, SymbolicContext};
 use stsyn_repro::synth::{AddConvergence, Options, Outcome, Schedule, SynthesisError};
 
@@ -163,37 +166,56 @@ fn symbolic_sccs_match_tarjan() {
     for_each_protocol(8, |case, p, _| {
         let graph = ExplicitGraph::of_protocol(&p);
         let (comp, ncomp) = graph.tarjan_scc();
-        let mut members: Vec<Vec<u64>> = vec![Vec::new(); ncomp];
+        let mut members: Vec<Vec<StateId>> = vec![Vec::new(); ncomp];
         for (s, &c) in comp.iter().enumerate() {
-            members[c as usize].push(s as u64);
+            members[c as usize].push(s as StateId);
         }
-        let mut explicit: Vec<Vec<u64>> = members
+        let mut explicit: Vec<Vec<StateId>> = members
             .into_iter()
             .filter(|m| m.len() > 1 || graph.successors(m[0]).contains(&(m[0] as u32)))
             .collect();
         explicit.sort();
 
+        // One group per explicit transition: every cyclic one is decided
+        // inside its own SCC, so the check builds every non-trivial SCC.
+        let edges: Vec<(StateId, StateId)> = (0..graph.num_states() as StateId)
+            .flat_map(|s| graph.successors(s).iter().map(move |&t| (s, StateId::from(t))))
+            .collect();
         let mut ctx = SymbolicContext::new(p.clone());
         let t = ctx.protocol_relation();
         let all = ctx.all_states();
-        for algo in [SccAlgorithm::Skeleton, SccAlgorithm::Lockstep, SccAlgorithm::XieBeerel] {
-            let sccs = scc_decomposition(&mut ctx, t, all, algo);
-            let mut symbolic: Vec<Vec<u64>> = sccs
-                .iter()
-                .map(|&scc| {
-                    let mut states = Vec::new();
-                    for (id, s) in p.space().states().enumerate() {
-                        let cube = ctx.state_cube(&s);
-                        if ctx.mgr().intersects(cube, scc) {
-                            states.push(id as u64);
-                        }
-                    }
-                    states
-                })
-                .collect();
-            symbolic.sort();
-            assert_eq!(symbolic, explicit, "{case}: {algo:?}");
+        let to_primed = ctx.cur_to_primed();
+        let groups: Vec<Bdd> = edges
+            .iter()
+            .map(|&(s, t)| {
+                let src = ctx.state_cube(&p.space().decode(s));
+                let dst = ctx.state_cube(&p.space().decode(t));
+                let dst = ctx.mgr().rename(dst, to_primed);
+                ctx.mgr().and(src, dst)
+            })
+            .collect();
+        let check = cyclic_groups(&mut ctx, t, all, &groups);
+        for (&(s, t), &cyclic) in edges.iter().zip(&check.cyclic) {
+            // An edge with both ends in one SCC makes that SCC non-trivial.
+            let expected = comp[s as usize] == comp[t as usize];
+            assert_eq!(cyclic, expected, "{case}: edge {s} -> {t}");
         }
+        let mut symbolic: Vec<Vec<StateId>> = check
+            .sccs
+            .iter()
+            .map(|&scc| {
+                let mut states = Vec::new();
+                for (id, s) in p.space().states().enumerate() {
+                    let cube = ctx.state_cube(&s);
+                    if ctx.mgr().intersects(cube, scc) {
+                        states.push(id as StateId);
+                    }
+                }
+                states
+            })
+            .collect();
+        symbolic.sort();
+        assert_eq!(symbolic, explicit, "{case}: SCCs built");
     });
 }
 
@@ -283,9 +305,9 @@ fn verdicts_match_explicit_oracle() {
         // With an empty I both engines agree vacuously: a finite
         // deadlock-free graph has a cycle, so neither converges to ∅.
         let report = check_convergence(&p, &i_expr);
-        let strong = strong_convergence(&mut ctx, t, i).holds;
+        let strong = strong_convergence(&mut ctx, t, i);
         assert_eq!(strong, report.strongly_converges(), "{case}: strong convergence");
-        let weak = weak_convergence(&mut ctx, t, i).holds;
+        let weak = weak_convergence(&mut ctx, t, i);
         assert_eq!(weak, report.weakly_converges(), "{case}: weak convergence");
     });
 }

@@ -17,10 +17,9 @@
 
 use std::collections::HashMap;
 use stsyn_bench::{
-    coloring_sweep, domain_sweep, matching_sweep, rows_to_csv, scc_algorithms,
-    schedule_sweep_matching, symbolic_vs_explicit, token_ring_sweep, variable_order, CHECK_NS,
-    COLORING_KS, DOMAIN_DS, MATCHING_KS, RANKS_KS, SCC_ALGORITHM_KS, SCHEDULE_K, TOKEN_RING_NS,
-    TWO_RING_RD, VARIABLE_ORDER_TRS,
+    coloring_sweep, domain_sweep, matching_sweep, rows_to_csv, schedule_sweep_matching,
+    symbolic_vs_explicit, token_ring_sweep, variable_order, CHECK_NS, COLORING_KS, DOMAIN_DS,
+    MATCHING_KS, RANKS_KS, SCHEDULE_K, TOKEN_RING_NS, TWO_RING_RD, VARIABLE_ORDER_TRS,
 };
 
 /// The synthesis columns that follow from the heuristic's decisions.
@@ -104,7 +103,6 @@ fn smallest_instance_of_each_ablation_matches_results() {
         header.split(',').filter(|c| !c.ends_with("secs")).map(String::from).collect()
     };
     for (file, fresh) in [
-        ("scc_algorithms.csv", scc_algorithms(&[6])),
         ("symbolic_vs_explicit.csv", symbolic_vs_explicit(&[6], &[])),
         ("variable_order.csv", variable_order(&[(4, 3)])),
     ] {
@@ -130,7 +128,6 @@ fn every_series_has_the_full_sweeps_rows() {
         ("two_ring.csv", TWO_RING_RD.full.len()),
         ("domains.csv", DOMAIN_DS.full.len()),
         ("schedules.csv", SCHEDULE_K.full[0]),
-        ("scc_algorithms.csv", 3 * SCC_ALGORITHM_KS.full.len()),
         ("symbolic_vs_explicit.csv", RANKS_KS.full.len() + CHECK_NS.full.len()),
         ("variable_order.csv", VARIABLE_ORDER_TRS.full.len()),
     ] {
