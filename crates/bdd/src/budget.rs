@@ -1,5 +1,6 @@
-//! Resource budgets, cooperative cancellation, graceful degradation and
-//! consistency checking for the BDD manager.
+//! Resource budgets, cooperative cancellation, safe-point garbage
+//! collection, graceful degradation and consistency checking for the BDD
+//! manager.
 //!
 //! A [`Budget`] bounds a symbolic computation along four axes:
 //!
@@ -11,11 +12,20 @@
 //! * **cooperative cancellation** — shared [`AtomicBool`] flags polled on
 //!   the same cadence, letting another thread stop a synthesis,
 //! * **live nodes** — a ceiling on the unique table, enforced at *safe
-//!   points* (see [`Manager::enforce_node_budget`]) where the caller can
-//!   name every handle it holds; on pressure the manager first degrades
-//!   gracefully (mark-and-sweep [`Manager::gc`] over the registered roots,
-//!   then one pair-block sifting retry) before surfacing
+//!   points* (see [`Manager::safe_point`]) where the caller can name every
+//!   handle it holds; on pressure the manager first degrades gracefully
+//!   (mark-and-sweep [`Manager::gc`] over the registered roots, then one
+//!   pair-block sifting retry) before surfacing
 //!   [`BddError::BudgetExhausted`].
+//!
+//! The same safe points collect garbage with or without a budget, once the
+//! owner has registered its roots ([`Manager::set_gc_roots`]): a
+//! collection runs when the live nodes reach a trigger that starts at
+//! [`GC_FLOOR`] and is reset to twice the survivors after each collection.
+//! The arena and both tables, which are sized from it, therefore follow a
+//! computation's live nodes instead of everything it ever built. A manager
+//! whose owner never registered roots never collects on its own, so its
+//! handles stay valid without a ceiling.
 //!
 //! Budgets also host the deterministic **fault injector** used by the
 //! robustness test-suite: [`Budget::with_fail_at_tick`] forces a
@@ -123,8 +133,8 @@ impl Budget {
     }
 
     /// Cap the number of live nodes. Enforced at safe points via
-    /// [`Manager::enforce_node_budget`], with graceful degradation (GC,
-    /// then one sifting retry) before erroring.
+    /// [`Manager::safe_point`], with graceful degradation (GC, then one
+    /// sifting retry) before erroring.
     pub fn with_max_nodes(mut self, n: usize) -> Self {
         self.max_live_nodes = Some(n);
         self
@@ -187,6 +197,10 @@ pub(crate) struct ActiveBudget {
 /// How often (in ticks) the wall clock and cancel flags are polled.
 const POLL_MASK: u64 = 0x3ff;
 
+/// The live-node count at which a safe point first collects garbage once
+/// roots are registered, and the least the trigger is ever reset to.
+pub const GC_FLOOR: usize = 1 << 16;
+
 pub(crate) fn expect_budget<T>(r: Result<T, BddError>) -> T {
     match r {
         Ok(v) => v,
@@ -218,12 +232,16 @@ impl Manager {
         self.budget.ticks
     }
 
-    /// Register the caller's persistent root set. [`Manager::enforce_node_budget`]
+    /// Register the caller's persistent root set. [`Manager::safe_point`]
     /// preserves these (plus its `extra_roots` argument) when it collects
-    /// garbage under node pressure, and [`Manager::check_consistency`]
-    /// verifies none of them dangles.
+    /// garbage, and [`Manager::check_consistency`] verifies none of them
+    /// dangles. The first registration also declares that every handle
+    /// the owner holds at a safe point is registered or passed there, and
+    /// so lets safe points collect without a node ceiling, from
+    /// [`GC_FLOOR`] live nodes on.
     pub fn set_gc_roots(&mut self, roots: Vec<Bdd>) {
         self.gc_roots = roots;
+        self.next_gc.get_or_insert(GC_FLOOR);
     }
 
     /// The currently registered persistent roots.
@@ -321,29 +339,36 @@ impl Manager {
         Ok(())
     }
 
-    /// Enforce the live-node ceiling at a *safe point* — a moment when the
-    /// registered [`Manager::set_gc_roots`] set plus `extra_roots` covers
-    /// every handle any caller still needs (intermediate results inside an
-    /// operation are *not* roots, which is why this is never called from
-    /// within the recursions).
+    /// A *safe point*: a moment when the registered
+    /// [`Manager::set_gc_roots`] set plus `extra_roots` covers every handle
+    /// any caller still needs (intermediate results inside an operation are
+    /// *not* roots, which is why this is never called from within the
+    /// recursions).
     ///
-    /// Degradation order on pressure:
+    /// In order:
     /// 1. mark-and-sweep [`Manager::gc`] over registered + extra roots,
-    /// 2. once per installed budget: a [`Manager::sift_pairs`] reordering
-    ///    retry (only if interleaved pairs were registered),
-    /// 3. [`BddError::BudgetExhausted`] with [`Resource::Nodes`].
-    pub fn enforce_node_budget(&mut self, extra_roots: &[Bdd]) -> Result<(), BddError> {
-        let Some(max) = self.budget.active.as_ref().and_then(|a| a.spec.max_live_nodes) else {
-            return Ok(());
-        };
-        if self.live_nodes() <= max {
+    ///    when roots are registered and the live nodes reach the trigger
+    ///    (which then becomes `max(GC_FLOOR, 2 × survivors)`), or when they
+    ///    exceed the budget's node ceiling;
+    /// 2. still over the ceiling, once per installed budget: a
+    ///    [`Manager::sift_pairs`] reordering retry (only if interleaved
+    ///    pairs were registered);
+    /// 3. still over it: [`BddError::BudgetExhausted`] with
+    ///    [`Resource::Nodes`].
+    pub fn safe_point(&mut self, extra_roots: &[Bdd]) -> Result<(), BddError> {
+        let live = self.live_nodes();
+        // The node ceiling, when the live nodes exceed it.
+        let exceeded = self.budget.active.as_ref().and_then(|a| a.spec.max_live_nodes);
+        let exceeded = exceeded.filter(|&max| live > max);
+        if exceeded.is_none() && self.next_gc.is_none_or(|n| live < n) {
             return Ok(());
         }
-        let pressured = self.live_nodes();
         let mut roots = self.gc_roots.clone();
         roots.extend_from_slice(extra_roots);
         self.gc(&roots);
-        self.trace_degrade("gc", pressured, max);
+        self.next_gc = self.next_gc.map(|_| GC_FLOOR.max(2 * self.live_nodes()));
+        let Some(max) = exceeded else { return Ok(()) };
+        self.trace_degrade("gc", live, max);
         if self.live_nodes() <= max {
             return Ok(());
         }
@@ -354,12 +379,12 @@ impl Manager {
             }
             let pairs = self.reorder_pairs.clone();
             self.sift_pairs(&pairs, &roots);
-            self.trace_degrade("sift_pairs", pressured, max);
+            self.trace_degrade("sift_pairs", live, max);
             if self.live_nodes() <= max {
                 return Ok(());
             }
         }
-        self.trace_degrade("exhausted", pressured, max);
+        self.trace_degrade("exhausted", live, max);
         Err(self.budget_error(Resource::Nodes))
     }
 
@@ -568,11 +593,11 @@ mod tests {
         m.set_gc_roots(vec![keep]);
         m.set_budget(Budget::unlimited().with_max_nodes(m.live_nodes() - 4));
         // GC alone gets back under the ceiling.
-        assert!(m.enforce_node_budget(&[]).is_ok());
+        assert!(m.safe_point(&[]).is_ok());
         assert!(m.live_nodes() <= m.live_nodes());
         // An impossible ceiling errors with Resource::Nodes.
         m.set_budget(Budget::unlimited().with_max_nodes(1));
-        let err = m.enforce_node_budget(&[]).unwrap_err();
+        let err = m.safe_point(&[]).unwrap_err();
         assert_eq!(err.resource(), Resource::Nodes);
         assert!(m.check_consistency().is_ok());
     }
@@ -622,5 +647,134 @@ mod tests {
         assert!(s.contains("operation-tick"), "{s}");
         let src: &dyn std::error::Error = &e;
         assert!(src.source().is_none());
+    }
+
+    /// Bits per word of [`words_equal`]: two such functions, or one and
+    /// the garbage of building it, hold more than [`GC_FLOOR`] nodes.
+    const BITS: usize = 14;
+
+    /// `y == rotl(x, shift)` over two [`BITS`]-bit words, `x` on variables
+    /// `0..BITS` and `y` on `BITS..2·BITS`. Every `x` bit lies above every
+    /// `y` bit, so the result has about `3 · 2^BITS` nodes, and results for
+    /// different shifts share few of them.
+    fn words_equal(m: &mut Manager, shift: usize) -> Bdd {
+        let pairs: Vec<Bdd> = (0..BITS)
+            .map(|k| {
+                let x = m.var(VarId(k as u32));
+                let y = m.var(VarId((BITS + (k + shift) % BITS) as u32));
+                m.iff(x, y)
+            })
+            .collect();
+        m.and_many(&pairs)
+    }
+
+    fn rotl(a: u32, shift: usize) -> u32 {
+        ((a << shift) | (a >> (BITS - shift))) & ((1 << BITS) - 1)
+    }
+
+    /// Does `eq` decide `y == rotl(x, shift)` right on a sample of pairs,
+    /// matching ones included?
+    fn decides_equality(m: &Manager, eq: Bdd, shift: usize) -> bool {
+        let sample = [0u32, 1, 2, 0x155, 0x2aaa, 0x3fff, 0x1234];
+        sample.iter().all(|&a| {
+            sample.iter().chain(&[rotl(a, shift)]).all(|&b| {
+                let bits: Vec<bool> = (0..BITS)
+                    .map(|k| a >> k & 1 == 1)
+                    .chain((0..BITS).map(|k| b >> k & 1 == 1))
+                    .collect();
+                m.eval(eq, &bits) == (b == rotl(a, shift))
+            })
+        })
+    }
+
+    #[test]
+    fn safe_point_without_registered_roots_never_collects() {
+        let mut m = Manager::new();
+        m.new_vars(2 * BITS);
+        let eq = words_equal(&mut m, 0);
+        let eq_rot = words_equal(&mut m, 1);
+        let live = m.live_nodes();
+        assert!(live > GC_FLOOR, "{live} live nodes");
+        assert!(m.safe_point(&[]).is_ok());
+        assert_eq!(m.stats().gc_runs, 0);
+        assert_eq!(m.live_nodes(), live);
+        assert!(decides_equality(&m, eq, 0));
+        assert!(decides_equality(&m, eq_rot, 1));
+    }
+
+    #[test]
+    fn safe_point_collects_at_the_trigger_once_roots_are_registered() {
+        let mut m = Manager::new();
+        let vs = m.new_vars(2 * BITS);
+        let x0 = m.var(vs[0]);
+        let y_last = m.var(vs[2 * BITS - 1]);
+        m.set_gc_roots(vec![x0]);
+        assert_eq!(m.next_gc, Some(GC_FLOOR));
+        assert!(m.safe_point(&[]).is_ok());
+        assert_eq!(m.stats().gc_runs, 0, "collected below the floor");
+
+        // The registered root holds more than half the floor, so the
+        // trigger ends above it.
+        let reg = words_equal(&mut m, 0);
+        let extra = m.xor(x0, y_last);
+        m.set_gc_roots(vec![reg]);
+        assert!(m.live_nodes() >= GC_FLOOR);
+        assert!(m.safe_point(&[extra]).is_ok());
+        assert_eq!(m.stats().gc_runs, 1);
+        let survivors = m.live_nodes();
+        assert_eq!(m.next_gc, Some(GC_FLOOR.max(2 * survivors)));
+        assert!(2 * survivors > GC_FLOOR, "{survivors} survivors");
+        assert!(m.safe_point(&[extra]).is_ok());
+        assert_eq!(m.stats().gc_runs, 1, "collected below the trigger");
+
+        // Garbage past the new trigger: collected again.
+        let mut shift = 1;
+        while m.live_nodes() < m.next_gc.unwrap() {
+            assert!(shift < BITS, "the garbage never reached the trigger");
+            let _garbage = words_equal(&mut m, shift);
+            shift += 1;
+        }
+        assert!(m.safe_point(&[extra]).is_ok());
+        assert_eq!(m.stats().gc_runs, 2);
+        assert_eq!(m.live_nodes(), survivors);
+        assert_eq!(m.next_gc, Some(GC_FLOOR.max(2 * survivors)));
+        assert!(decides_equality(&m, reg, 0));
+        for bits in 0..4usize {
+            let mut a = vec![false; 2 * BITS];
+            (a[0], a[2 * BITS - 1]) = (bits & 1 == 1, bits & 2 == 2);
+            assert_eq!(m.eval(extra, &a), a[0] != a[2 * BITS - 1]);
+        }
+        assert!(m.check_consistency().is_ok());
+    }
+
+    #[test]
+    fn ceiling_below_the_trigger_degrades_via_gc_then_sift_then_errors() {
+        let mut m = Manager::new();
+        let vs = m.new_vars(8);
+        let (tracer, sink) = stsyn_obs::Tracer::memory(stsyn_obs::TraceLevel::Info);
+        m.set_tracer(tracer);
+        m.set_reorder_pairs(vs.chunks(2).map(|p| (p[0], p[1])).collect());
+        let lits: Vec<Bdd> = vs.iter().map(|&v| m.var(v)).collect();
+        let keep = m.and(lits[0], lits[2]);
+        for i in 0..4 {
+            let _garbage = m.xor(lits[i], lits[i + 4]);
+        }
+        m.set_gc_roots(vec![keep]);
+        assert!(m.live_nodes() < GC_FLOOR);
+        m.set_budget(Budget::unlimited().with_max_nodes(1));
+        let err = m.safe_point(&[]).unwrap_err();
+        assert_eq!(err.resource(), Resource::Nodes);
+        let actions: Vec<String> = sink
+            .lines()
+            .iter()
+            .map(|l| stsyn_obs::Json::parse(l).unwrap())
+            .filter(|r| r.get("name").and_then(stsyn_obs::Json::as_str) == Some("bdd.degrade"))
+            .map(|r| r.get("action").and_then(stsyn_obs::Json::as_str).unwrap().to_string())
+            .collect();
+        assert_eq!(actions, ["gc", "sift_pairs", "exhausted"]);
+        assert!(m.stats().gc_runs >= 1);
+        assert!(m.eval(keep, &[true, false, true]));
+        assert!(!m.eval(keep, &[true, true, false]));
+        assert!(m.check_consistency().is_ok());
     }
 }

@@ -17,7 +17,9 @@
 //!   is "number of BDD nodes", which is a property of the DAG and therefore
 //!   directly comparable across BDD packages,
 //! * mark-and-sweep garbage collection with a slot free-list so that live
-//!   handles remain valid across collections,
+//!   handles remain valid across collections, run at the callers' safe
+//!   points ([`Manager::safe_point`]) once the live nodes reach a trigger
+//!   of [`GC_FLOOR`] or twice the last collection's survivors,
 //! * **dynamic variable reordering** — in-place adjacent-level swaps and
 //!   Rudell's sifting ([`Manager::sift`]); handles survive, interned
 //!   varsets/rename maps are generation-checked.
@@ -73,7 +75,7 @@ mod serialize;
 mod table;
 mod varset;
 
-pub use budget::{BddError, Budget, Resource};
+pub use budget::{BddError, Budget, Resource, GC_FLOOR};
 pub use explore::CubeIter;
 pub use manager::{Bdd, Manager, ManagerStats, VarId};
 pub use rename::RenameId;

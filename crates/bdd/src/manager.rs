@@ -145,11 +145,15 @@ pub struct Manager {
     pub(crate) cache_hits: u64,
     pub(crate) tracer: Tracer,
 
-    // Resource budget, registered persistent roots and interleaved
-    // (current, primed) pairs for the degradation path (see `budget.rs`).
+    // Resource budget, registered persistent roots, interleaved
+    // (current, primed) pairs for the degradation path and the safe
+    // points' collection trigger (see `budget.rs`).
     pub(crate) budget: crate::budget::BudgetState,
     pub(crate) gc_roots: Vec<Bdd>,
     pub(crate) reorder_pairs: Vec<(VarId, VarId)>,
+    /// Live nodes at which a safe point collects; `None` until roots are
+    /// registered.
+    pub(crate) next_gc: Option<usize>,
 }
 
 impl Default for Manager {
@@ -186,6 +190,7 @@ impl Manager {
             budget: crate::budget::BudgetState::default(),
             gc_roots: Vec::new(),
             reorder_pairs: Vec::new(),
+            next_gc: None,
         }
     }
 

@@ -185,7 +185,7 @@ impl Manager {
 
     /// Sift *pairs* of variables as indivisible 2-blocks, preserving the
     /// interleaved `(current, primed)` layout the symbolic engine relies
-    /// on. Used by the budget degradation path ([`Manager::enforce_node_budget`])
+    /// on. Used by the budget degradation path ([`Manager::safe_point`])
     /// because — unlike [`Manager::sift`] — it does **not** bump the reorder
     /// generation: within-pair adjacency is maintained, so interned rename
     /// maps (keyed by variable id) stay strictly monotone, and interned

@@ -504,9 +504,10 @@ impl<'a> Parser<'a> {
         loop {
             let line = self.line();
             let name = self.expect_ident("variable name")?;
-            let v = self
-                .lookup_var(name)
-                .ok_or(ParseError { line, message: format!("unknown variable `{name}`") })?;
+            let v = self.lookup_var(name).ok_or_else(|| ParseError {
+                line,
+                message: format!("unknown variable `{name}`"),
+            })?;
             out.push(v);
             if self.peek() == Tok::Comma {
                 self.bump();
@@ -675,7 +676,7 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
                     loop {
                         let aline = p.line();
                         let tname = p.expect_ident("assignment target")?;
-                        let target = p.lookup_var(tname).ok_or(ParseError {
+                        let target = p.lookup_var(tname).ok_or_else(|| ParseError {
                             line: aline,
                             message: format!("unknown variable `{tname}`"),
                         })?;
@@ -711,7 +712,7 @@ pub fn parse(src: &str) -> Result<ParsedProtocol, ParseError> {
     }
 
     let invariant = invariant
-        .ok_or(ParseError { line: 0, message: "missing `invariant` declaration".into() })?;
+        .ok_or_else(|| ParseError { line: 0, message: "missing `invariant` declaration".into() })?;
     match invariant.typecheck() {
         Ok(crate::expr::Ty::Bool) => {}
         _ => {

@@ -162,8 +162,10 @@ pub struct Outcome {
 impl Outcome {
     /// Complete the statistics from the manager (program size, peak live
     /// nodes, ticks, GC runs, cache probes) and the clock, and hand the
-    /// context back unbudgeted: follow-up queries on the outcome
-    /// (extraction, re-verification) must not trip a stale budget.
+    /// context back unbudgeted, with the outcome's own relations as its
+    /// registered roots: follow-up queries on the outcome (extraction,
+    /// re-verification) must not trip a stale budget, and a collection at
+    /// their safe points must keep `I`, `δ_p` and `δ_pss`.
     pub(crate) fn finish(mut self, started: Instant) -> Outcome {
         let mgr = self.ctx.mgr_ref();
         let m = mgr.stats();
@@ -175,6 +177,7 @@ impl Outcome {
         self.stats.cache_hits = m.cache_hits;
         self.stats.total_time = started.elapsed();
         self.ctx.clear_budget();
+        self.ctx.register_roots(&[self.i, self.delta_p, self.pss]);
         self
     }
 
@@ -315,10 +318,6 @@ struct Engine {
     opts: Options,
 }
 
-/// Live-node threshold above which the engine garbage-collects between
-/// heuristic steps.
-const GC_THRESHOLD: usize = 6_000_000;
-
 impl Engine {
     /// The deadlock states: `¬I` states with no outgoing `pss` transition.
     fn deadlocks(&mut self) -> Result<Bdd, BddError> {
@@ -327,7 +326,7 @@ impl Engine {
     }
 
     /// Every handle the engine keeps across steps, plus `extra`: the roots
-    /// of a collection between steps and of a budget's safe points.
+    /// of every collection during a solve.
     fn roots(&self, extra: &[Bdd]) -> Vec<Bdd> {
         let mut roots = self.cands.roots();
         roots.extend([
@@ -344,15 +343,12 @@ impl Engine {
     }
 
     /// The safe point before each schedule step: register the engine's
-    /// handles and `extra` as the roots that the node ceiling's collection
-    /// keeps during the step, and collect when the live nodes pass
-    /// [`GC_THRESHOLD`].
-    fn safe_point(&mut self, extra: &[Bdd]) {
+    /// handles and `extra` as the roots that every collection keeps during
+    /// the step, then run the manager's safe point.
+    fn safe_point(&mut self, extra: &[Bdd]) -> Result<(), BddError> {
         let roots = self.roots(extra);
-        if self.ctx.mgr_ref().stats().live_nodes >= GC_THRESHOLD {
-            self.ctx.gc(&roots);
-        }
         self.ctx.register_roots(&roots);
+        self.ctx.mgr().safe_point(&[])
     }
 
     /// [`stopped`] in `phase`, with the engine's progress so far.
@@ -605,7 +601,7 @@ impl Engine {
         let (pass, rank_key) = coord;
         let mut ruled_out = if pass == 1 { Some(deadlocks) } else { None };
         for (step, p) in schedule.order().iter().enumerate() {
-            self.safe_point(&[from, to, deadlocks]);
+            self.safe_point(&[from, to, deadlocks])?;
             let key = (pass, rank_key, step as u32);
             let (groups, done) = match ckpt.as_deref() {
                 Some(c) => c.journaled(key.0, key.1, key.2),

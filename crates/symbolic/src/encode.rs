@@ -200,12 +200,13 @@ impl SymbolicContext {
     /// Install a resource budget on the underlying manager.
     ///
     /// Also registers this context's precomputed constants as the
-    /// persistent GC root set and — under the interleaved layout — the
+    /// persistent GC root set (which lets safe points collect garbage, see
+    /// [`Manager::safe_point`]) and — under the interleaved layout — the
     /// `(current, primed)` bit pairs the node-pressure degradation path
     /// may reorder with [`Manager::sift_pairs`]. Callers that hold further
     /// long-lived handles (relations, invariants, rank layers, ...) must
     /// extend the root set via [`SymbolicContext::register_roots`] before
-    /// any budgeted call that may hit a node-ceiling safe point.
+    /// any call that may hit a safe point.
     pub fn set_budget(&mut self, budget: &Budget) {
         let roots = self.roots();
         let pairs: Vec<(VarId, VarId)> = self
@@ -225,7 +226,9 @@ impl SymbolicContext {
     }
 
     /// Re-register the persistent GC root set as this context's constants
-    /// plus `extra`. Replaces (does not accumulate) previous extras.
+    /// plus `extra`. Replaces (does not accumulate) previous extras. From
+    /// then on safe points may collect garbage without a budget, so
+    /// `extra` must name every handle the caller holds across them.
     pub fn register_roots(&mut self, extra: &[Bdd]) {
         let mut roots = self.roots();
         roots.extend_from_slice(extra);

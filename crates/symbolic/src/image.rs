@@ -2,11 +2,12 @@
 //!
 //! Every operation comes in two flavours: the classic infallible name and
 //! a `try_*` variant returning `Result<_, BddError>` for budgeted runs.
-//! The closure fixpoints additionally hit a node-ceiling *safe point*
-//! ([`stsyn_bdd::Manager::enforce_node_budget`]) once per iteration; a
-//! caller that installs a node ceiling must therefore keep the manager's
-//! registered root set complete for every handle it holds across the call
-//! (see [`SymbolicContext::register_roots`]).
+//! The closure fixpoints additionally hit a *safe point*
+//! ([`stsyn_bdd::Manager::safe_point`]) once per iteration, which may
+//! collect garbage; a caller that has registered roots or installed a node
+//! ceiling must therefore keep the manager's registered root set complete
+//! for every handle it holds across the call (see
+//! [`SymbolicContext::register_roots`]).
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
 use stsyn_bdd::{Bdd, BddError};
@@ -60,13 +61,13 @@ impl SymbolicContext {
         self.try_forward_closure(t, x).expect(INFALLIBLE)
     }
 
-    /// Fallible variant of [`SymbolicContext::forward_closure`]; checks
-    /// the node ceiling at a safe point before every frontier expansion.
+    /// Fallible variant of [`SymbolicContext::forward_closure`]; hits a
+    /// safe point before every frontier expansion.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_forward_closure(&mut self, t: Bdd, x: Bdd) -> Result<Bdd, BddError> {
         let mut reach = x;
         loop {
-            self.mgr().enforce_node_budget(&[t, x, reach])?;
+            self.mgr().safe_point(&[t, x, reach])?;
             let step = self.try_img(t, reach)?;
             let next = self.mgr().try_or(reach, step)?;
             if next == reach {
@@ -82,13 +83,13 @@ impl SymbolicContext {
         self.try_backward_closure(t, x).expect(INFALLIBLE)
     }
 
-    /// Fallible variant of [`SymbolicContext::backward_closure`]; checks
-    /// the node ceiling at a safe point before every frontier expansion.
+    /// Fallible variant of [`SymbolicContext::backward_closure`]; hits a
+    /// safe point before every frontier expansion.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_backward_closure(&mut self, t: Bdd, x: Bdd) -> Result<Bdd, BddError> {
         let mut reach = x;
         loop {
-            self.mgr().enforce_node_budget(&[t, x, reach])?;
+            self.mgr().safe_point(&[t, x, reach])?;
             let step = self.try_pre(t, reach)?;
             let next = self.mgr().try_or(reach, step)?;
             if next == reach {

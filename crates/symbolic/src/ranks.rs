@@ -71,9 +71,9 @@ pub fn compute_ranks(ctx: &mut SymbolicContext, relation: Bdd, i: Bdd) -> RankTa
     }
 }
 
-/// Fallible variant of [`compute_ranks`] for budgeted runs. Checks the
-/// node ceiling at a safe point before every backward step (callers
-/// holding further long-lived handles must have registered them, see
+/// Fallible variant of [`compute_ranks`] for budgeted runs. Hits a safe
+/// point before every backward step (callers holding further long-lived
+/// handles must have registered them, see
 /// [`SymbolicContext::register_roots`]); on any budget violation the
 /// layers completed so far are returned as [`RanksInterrupted`].
 #[must_use = "an interrupted ranking is reported through the Result"]
@@ -133,7 +133,7 @@ pub fn try_compute_ranks_resumed(
             extra.push(relation);
             extra.push(explored);
             extra.extend(ranks.iter().copied());
-            step!(ctx.mgr().enforce_node_budget(&extra));
+            step!(ctx.mgr().safe_point(&extra));
         }
         let back = step!(ctx.try_pre(relation, explored));
         let not_explored = step!(ctx.mgr().try_not(explored));

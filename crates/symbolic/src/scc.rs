@@ -56,13 +56,14 @@
 //! ([`try_reaches_back`]) proves that no cycle exists and answers "no" for
 //! every group without trimming; when it meets one, the full check runs.
 //!
-//! Tick, deadline and cancellation budgets are honoured throughout. The
-//! node ceiling is enforced once per iteration of the core fixpoint and
-//! once per pivot round of [`try_cyclic_groups`], and once per layer of
-//! [`try_reaches_back`]. Their arguments and live handles (the core so
-//! far, the undecided groups' transitions, the SCCs built, the frontier)
-//! survive the collection it may run; every other handle the caller
-//! holds must be registered ([`SymbolicContext::register_roots`]).
+//! Tick, deadline and cancellation budgets are honoured throughout. A
+//! safe point ([`stsyn_bdd::Manager::safe_point`]) runs once per
+//! iteration of the core fixpoint, once per pivot round of
+//! [`try_cyclic_groups`] and once per layer of [`try_reaches_back`]. Their
+//! arguments and live handles (the core so far, the undecided groups'
+//! transitions, the SCCs built, the frontier) survive the collection it
+//! may run; every other handle the caller holds must be registered
+//! ([`SymbolicContext::register_roots`]).
 
 use crate::encode::{SymbolicContext, INFALLIBLE};
 use stsyn_bdd::{Bdd, BddError};
@@ -110,9 +111,9 @@ fn forward_core(ctx: &mut SymbolicContext, relation: Bdd, x: Bdd) -> Result<Bdd,
 
 /// νZ. X ∧ img(Z): states into which an infinite path inside `x` leads,
 /// that is, the states of `x` reachable inside `x` from a cycle inside
-/// `x`. Returns the fixpoint and the number of images it took. The node
-/// ceiling is enforced once per iteration, keeping the set so far and
-/// `args` alive.
+/// `x`. Returns the fixpoint and the number of images it took. A safe
+/// point runs once per iteration, keeping the set so far and `args`
+/// alive.
 fn backward_core(
     ctx: &mut SymbolicContext,
     relation: Bdd,
@@ -126,7 +127,7 @@ fn backward_core(
             return Ok((set, iterations));
         }
         let roots: Vec<Bdd> = [set].into_iter().chain(args.iter().copied()).collect();
-        ctx.mgr().enforce_node_budget(&roots)?;
+        ctx.mgr().safe_point(&roots)?;
         iterations += 1;
         let with_pred = ctx.try_img(relation, set)?;
         let next = ctx.mgr().try_and(set, with_pred)?;
@@ -173,7 +174,7 @@ pub fn try_cyclic_groups(
 }
 
 /// [`try_cyclic_groups`], keeping `args` (the caller's arguments) alive
-/// through a collection at the node ceiling.
+/// through a collection at a safe point.
 fn check_groups(
     ctx: &mut SymbolicContext,
     relation: Bdd,
@@ -205,7 +206,7 @@ fn check_groups(
             .chain(live.iter().map(|&(_, e)| e))
             .chain(sccs.iter().copied())
             .collect();
-        ctx.mgr().enforce_node_budget(&roots)?;
+        ctx.mgr().safe_point(&roots)?;
         // The current-state bits of a satisfying assignment of `edges` are
         // a source state of one of its transitions.
         let pivot = pick_singleton(ctx, edges)?;
@@ -307,7 +308,7 @@ pub fn try_reaches_back(
 }
 
 /// [`try_reaches_back`], keeping `args` (the caller's arguments) alive
-/// through a collection at the node ceiling.
+/// through a collection at a safe point.
 fn reaches_back(
     ctx: &mut SymbolicContext,
     relation: Bdd,
@@ -319,7 +320,7 @@ fn reaches_back(
     let mut reach = frontier;
     loop {
         let roots: Vec<Bdd> = [reach, frontier].into_iter().chain(args.iter().copied()).collect();
-        ctx.mgr().enforce_node_budget(&roots)?;
+        ctx.mgr().safe_point(&roots)?;
         // A state of the layer is a source of `added` iff it meets `added`
         // as a relation: no source set needs building.
         if ctx.mgr().try_intersects(frontier, added)? {
