@@ -39,12 +39,18 @@
 //!
 //! ## Durability contract
 //!
-//! Every accepted job is persisted **before** the daemon acknowledges it;
-//! strong jobs checkpoint their progress through `stsyn-core`'s
-//! write-ahead journal. Kill the daemon at any point and the next start
-//! re-enqueues in-flight jobs, resuming them from their journals to
-//! results byte-identical to uninterrupted runs (the property PR 2's
-//! crash harness sweeps). Cancellation is cooperative through the same
+//! Every accepted job is persisted **before** the daemon acknowledges it:
+//! its `spec.json` is fsync'd and renamed into place, and the job's
+//! directory entry and the rename are fsync'd in turn, so the ack holds
+//! across an OS crash. Strong jobs checkpoint their progress through
+//! `stsyn-core`'s write-ahead journal. Kill the daemon at any point and
+//! the next start re-enqueues in-flight jobs, resuming them from their
+//! journals to results byte-identical to uninterrupted runs (the
+//! property the crash harness sweeps). The journal is a group commit: a
+//! killed daemon loses no journal record, and an OS crash loses at most
+//! the records since the last sync (at most a second of work, never a
+//! checkpoint-shutdown cut), which the resumed job recomputes.
+//! Cancellation is cooperative through the same
 //! [`stsyn_symbolic::Budget`] flags the CLI uses, honored within one
 //! budget tick-check interval.
 //!

@@ -71,7 +71,7 @@ use stsyn_core::job::{JobCheckpoint, JobError, JobMode};
 use stsyn_core::SynthesisError;
 use stsyn_obs::metrics::{json_pairs, Kind::*, Names, Row, Value, LATENCY_BUCKET_BOUNDS_US};
 use stsyn_obs::{HistogramSnapshot, LatencyHistogram, MetricsText, Progress, ProgressBus, Tracer};
-use stsyn_store::{Store, StoreStats};
+use stsyn_store::{sync_dir, Store, StoreStats};
 use stsyn_symbolic::Resource;
 
 /// File names inside a job directory.
@@ -582,7 +582,8 @@ fn recover_jobs(shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Atomically persist a JSON document (temp file + rename + fsync).
+/// Atomically persist a JSON document: temp file, fsync, rename, then
+/// fsync the directory so the rename survives an OS crash.
 fn write_json_atomic(path: &Path, value: &Json) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
@@ -591,7 +592,20 @@ fn write_json_atomic(path: &Path, value: &Json) -> io::Result<()> {
         f.write_all(b"\n")?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        sync_dir(dir);
+    }
+    Ok(())
+}
+
+/// Create a new job's directory and make its entry in `jobs/` durable.
+fn create_job_dir(dir: &Path) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    if let Some(jobs) = dir.parent() {
+        sync_dir(jobs);
+    }
+    Ok(())
 }
 
 /// Append one fsync'd line to the job's attempt ledger.
@@ -1318,7 +1332,7 @@ fn admit_job(shared: &Shared, spec: SubmitSpec) -> Json {
     }
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let dir = shared.job_dir(id);
-    let persisted = std::fs::create_dir_all(&dir)
+    let persisted = create_job_dir(&dir)
         .and_then(|()| write_json_atomic(&dir.join(SPEC_FILE), &spec.to_json()));
     if let Err(e) = persisted {
         let _ = std::fs::remove_dir_all(&dir);
@@ -1399,7 +1413,7 @@ fn store_exact_hit(shared: &Shared, spec: &SubmitSpec) -> Option<Json> {
         pairs.push(("store".into(), "hit".into()));
     }
     let dir = shared.job_dir(id);
-    let persisted = std::fs::create_dir_all(&dir)
+    let persisted = create_job_dir(&dir)
         .and_then(|()| write_json_atomic(&dir.join(SPEC_FILE), &spec.to_json()))
         .and_then(|()| write_json_atomic(&dir.join(RESULT_FILE), &result));
     if persisted.is_err() {

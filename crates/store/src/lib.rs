@@ -863,7 +863,7 @@ fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 
 /// Best-effort directory fsync (required for rename durability on POSIX;
 /// a failure here narrows the crash window rather than breaking it).
-fn sync_dir(dir: &Path) {
+pub fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }

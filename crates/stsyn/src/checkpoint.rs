@@ -4,17 +4,32 @@
 //!
 //! * `journal.bin` — an append-only **write-ahead journal**. After a fixed
 //!   header (`b"STSYNJNL"` + version), every record is framed as
-//!   `len:u32 | crc32(payload):u32 | payload` and fsync'd as soon as it is
-//!   appended, so the journal always ends in a (possibly empty) valid
-//!   prefix followed by at most one torn record. Readers stop at the first
-//!   invalid frame and report the salvaged prefix with a warning — a torn
-//!   or corrupted tail is *recovered from*, never panicked on.
+//!   `len:u32 | crc32(payload):u32 | payload` and written with one
+//!   `write_all` before the run goes past it, so the journal always ends
+//!   in a (possibly empty) valid prefix followed by at most one torn
+//!   record. Readers stop at the first invalid frame and report the
+//!   salvaged prefix with a warning — a torn or corrupted tail is
+//!   *recovered from*, never panicked on.
 //! * `rank-NNNNN.bdd` — one BDD snapshot per committed rank layer, in the
 //!   [`stsyn_bdd`] dump format (versioned, checksummed). Snapshots are
 //!   written to a temp file and atomically renamed into place.
 //! * `lock` — holds the PID of the synthesizer owning the directory.
 //!   A live PID refuses the takeover ([`CheckpointError::Locked`]); a
 //!   stale one (crashed run) is detected and replaced with a warning.
+//!
+//! ## Durability
+//!
+//! The journal is a group commit with a two-level contract:
+//!
+//! * **Process death** (SIGKILL, panic, exit) loses no record: every
+//!   record and snapshot is in the page cache before the run goes past it.
+//! * **An OS crash** loses at most the records since the last sync, never
+//!   a `Cut`. Syncs happen only at durability points — every `Cut`, and
+//!   the first append a second or more after the last sync — and
+//!   each one syncs the snapshots written since the last sync, then the
+//!   directory, then the journal. What survives is a valid prefix, so a
+//!   resume from it is byte-identical; a snapshot lost with it is
+//!   recomputed.
 //!
 //! ## What gets journaled
 //!
@@ -45,6 +60,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use stsyn_bdd::{crc32, Bdd, Manager};
 use stsyn_protocol::group::GroupDesc;
 use stsyn_protocol::ProcIdx;
@@ -58,6 +74,10 @@ pub const LOCK_FILE: &str = "lock";
 pub const JOURNAL_MAGIC: &[u8; 8] = b"STSYNJNL";
 /// Journal format version.
 pub const JOURNAL_VERSION: u32 = 1;
+/// The longest a journaled record waits for a sync: an append this long
+/// after the last sync is a durability point, which bounds what an OS
+/// crash can cost a long run.
+const SYNC_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Why a checkpoint operation failed. Journal/snapshot *corruption* is not
 /// an error (it degrades to the last valid prefix, with a warning); these
@@ -394,30 +414,53 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, CheckpointError> {
 struct JournalWriter {
     file: File,
     path: PathBuf,
+    /// The checkpoint directory holding the journal and its snapshots.
+    dir: PathBuf,
+    /// Rank snapshots renamed into place since the last sync.
+    pending: Vec<PathBuf>,
+    last_sync: Instant,
+    /// Durability points reached so far.
+    pub(crate) syncs: u64,
 }
 
 impl JournalWriter {
-    /// Create (or truncate) a journal and write the header.
-    fn create(path: &Path) -> Result<Self, CheckpointError> {
-        let mut file = File::create(path).map_err(|e| io_err(path, e))?;
+    fn new(file: File, dir: &Path) -> Self {
+        JournalWriter {
+            file,
+            path: dir.join(JOURNAL_FILE),
+            dir: dir.to_path_buf(),
+            pending: Vec::new(),
+            last_sync: Instant::now(),
+            syncs: 0,
+        }
+    }
+
+    /// Create (or truncate) the journal in `dir` and write the header.
+    fn create(dir: &Path) -> Result<Self, CheckpointError> {
+        let path = dir.join(JOURNAL_FILE);
+        let mut file = File::create(&path).map_err(|e| io_err(&path, e))?;
         let mut header = Vec::with_capacity(12);
         header.extend_from_slice(JOURNAL_MAGIC);
         header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        file.write_all(&header).map_err(|e| io_err(path, e))?;
-        file.sync_data().map_err(|e| io_err(path, e))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
+        file.write_all(&header).map_err(|e| io_err(&path, e))?;
+        Ok(JournalWriter::new(file, dir))
     }
 
-    /// Open an existing journal for appending, truncating any invalid
+    /// Open the journal in `dir` for appending, truncating any invalid
     /// tail at `valid_len` first.
-    fn open_at(path: &Path, valid_len: u64) -> Result<Self, CheckpointError> {
-        let mut file = OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, e))?;
-        file.set_len(valid_len).map_err(|e| io_err(path, e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, e))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
+    fn open_at(dir: &Path, valid_len: u64) -> Result<Self, CheckpointError> {
+        let path = dir.join(JOURNAL_FILE);
+        let mut file = OpenOptions::new().write(true).open(&path).map_err(|e| io_err(&path, e))?;
+        file.set_len(valid_len).map_err(|e| io_err(&path, e))?;
+        file.seek(SeekFrom::End(0)).map_err(|e| io_err(&path, e))?;
+        Ok(JournalWriter::new(file, dir))
     }
 
-    /// Append one framed record and fsync it — the write-ahead guarantee.
+    /// Append one framed record with a single `write_all`, so process
+    /// death cannot lose it, and sync if this is a durability point: a
+    /// `Cut`, or any record but `Done` that comes [`SYNC_INTERVAL`] or
+    /// more after the last sync. (After `Done` only the artifact store
+    /// reads the journal, and it syncs its own copy.)
     fn append(&mut self, rec: &Record) -> Result<(), CheckpointError> {
         let payload = encode(rec);
         let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -425,7 +468,45 @@ impl JournalWriter {
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame).map_err(|e| io_err(&self.path, e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, e))
+        let durability_point = match rec {
+            Record::Cut { .. } => true,
+            Record::Done => false,
+            _ => self.last_sync.elapsed() >= SYNC_INTERVAL,
+        };
+        if durability_point {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Write the rank snapshot `name` atomically under process death:
+    /// temp file, then rename. Its data reaches the disk at the next
+    /// sync, ahead of the journal record naming it.
+    fn write_snapshot(&mut self, name: &str, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let tmp = self.dir.join(format!("{name}.tmp"));
+        let dst = self.dir.join(name);
+        fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
+        fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, e))?;
+        self.pending.push(dst);
+        Ok(())
+    }
+
+    /// Make everything written so far survive an OS crash: the pending
+    /// snapshots, then the directory (their renames and the journal's
+    /// creation), then the journal.
+    fn sync(&mut self) -> Result<(), CheckpointError> {
+        for path in std::mem::take(&mut self.pending) {
+            File::open(&path).and_then(|f| f.sync_data()).map_err(|e| io_err(&path, e))?;
+        }
+        // Best effort, like the store's directory sync: a failure narrows
+        // the crash window rather than breaking it.
+        if let Ok(d) = File::open(&self.dir) {
+            let _ = d.sync_all();
+        }
+        self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
+        self.last_sync = Instant::now();
+        self.syncs += 1;
+        Ok(())
     }
 }
 
@@ -455,8 +536,9 @@ fn acquire_lock(dir: &Path) -> Result<(LockGuard, Option<String>), CheckpointErr
         match OpenOptions::new().write(true).create_new(true).open(&path) {
             Ok(mut f) => {
                 let me = std::process::id();
+                // Not synced: the lock only excludes live processes, and
+                // after an OS crash every recorded PID is dead anyway.
                 f.write_all(me.to_string().as_bytes()).map_err(|e| io_err(&path, e))?;
-                f.sync_data().map_err(|e| io_err(&path, e))?;
                 return Ok((LockGuard { path }, warning));
             }
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
@@ -479,24 +561,6 @@ fn acquire_lock(dir: &Path) -> Result<(LockGuard, Option<String>), CheckpointErr
             Err(e) => return Err(io_err(&path, e)),
         }
     }
-}
-
-// --- Snapshots -----------------------------------------------------------
-
-/// Write `bytes` to `dir/name` atomically: temp file, fsync, rename,
-/// fsync the directory.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let dst = dir.join(name);
-    let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-    f.sync_data().map_err(|e| io_err(&tmp, e))?;
-    drop(f);
-    fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, e))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
 }
 
 // --- Replay state --------------------------------------------------------
@@ -544,7 +608,6 @@ impl Replay {
 /// writer and the replay state parsed from any previous run's journal.
 #[derive(Debug)]
 pub struct CheckpointSession {
-    dir: PathBuf,
     journal: JournalWriter,
     _lock: LockGuard,
     replay: Replay,
@@ -562,15 +625,13 @@ impl CheckpointSession {
     pub fn create(dir: &Path, fingerprint: u64) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let (lock, lock_warning) = acquire_lock(dir)?;
-        let journal_path = dir.join(JOURNAL_FILE);
-        let existing = read_journal(&journal_path)?;
+        let existing = read_journal(&dir.join(JOURNAL_FILE))?;
         if !existing.records.is_empty() {
             return Err(CheckpointError::Exists);
         }
-        let mut journal = JournalWriter::create(&journal_path)?;
+        let mut journal = JournalWriter::create(dir)?;
         journal.append(&Record::Start { fingerprint })?;
         Ok(CheckpointSession {
-            dir: dir.to_path_buf(),
             journal,
             _lock: lock,
             replay: Replay::default(),
@@ -587,15 +648,13 @@ impl CheckpointSession {
     pub fn resume(dir: &Path, fingerprint: u64) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let (lock, lock_warning) = acquire_lock(dir)?;
-        let journal_path = dir.join(JOURNAL_FILE);
-        let contents = read_journal(&journal_path)?;
+        let contents = read_journal(&dir.join(JOURNAL_FILE))?;
         let mut warnings: Vec<String> = lock_warning.into_iter().collect();
         warnings.extend(contents.warning.clone());
         match contents.records.first() {
             Some(Record::Start { fingerprint: fp }) if *fp == fingerprint => {
-                let journal = JournalWriter::open_at(&journal_path, contents.valid_len)?;
+                let journal = JournalWriter::open_at(dir, contents.valid_len)?;
                 Ok(CheckpointSession {
-                    dir: dir.to_path_buf(),
                     journal,
                     _lock: lock,
                     replay: Replay::build(&contents.records),
@@ -614,10 +673,9 @@ impl CheckpointSession {
                             .to_string(),
                     );
                 }
-                let mut journal = JournalWriter::create(&journal_path)?;
+                let mut journal = JournalWriter::create(dir)?;
                 journal.append(&Record::Start { fingerprint })?;
                 Ok(CheckpointSession {
-                    dir: dir.to_path_buf(),
                     journal,
                     _lock: lock,
                     replay: Replay::default(),
@@ -646,7 +704,7 @@ impl CheckpointSession {
         let mut layers = Vec::new();
         let mut index = 1u32;
         while let Some(file) = self.replay.rank_layers.get(&index).cloned() {
-            let path = self.dir.join(&file);
+            let path = self.journal.dir.join(&file);
             let loaded = File::open(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|mut f| ctx.mgr().load_bdds_into(&mut f).map_err(|e| e.to_string()));
@@ -686,7 +744,9 @@ impl CheckpointSession {
         }
         let file = Self::rank_file_name(index);
         let bytes = mgr.dump_bdds_to_vec(&[layer]);
-        let result = write_atomic(&self.dir, &file, &bytes)
+        let result = self
+            .journal
+            .write_snapshot(&file, &bytes)
             .and_then(|()| self.journal.append(&Record::RankLayer { index: index as u32, file }))
             .and_then(|()| self.journal.append(&counters_record(mgr)));
         if let Err(e) = result {
@@ -716,7 +776,8 @@ impl CheckpointSession {
         (groups, self.replay.done_steps.contains(&key))
     }
 
-    /// Journal one accepted recovery group (write-ahead, fsync'd).
+    /// Journal one accepted recovery group (write-ahead: on disk by the
+    /// next durability point, safe from process death at once).
     pub(crate) fn record_group(
         &mut self,
         pass: u8,
@@ -756,9 +817,10 @@ impl CheckpointSession {
         })
     }
 
-    /// Final checkpoint on resource exhaustion: everything committed is
-    /// already fsync'd in the journal; this appends the `Cut` marker so a
-    /// resumed run knows the tail is intentional, not torn.
+    /// Final checkpoint on resource exhaustion: appends the `Cut` marker
+    /// so a resumed run knows the tail is intentional, not torn. A `Cut` is
+    /// a durability point: it syncs every snapshot and record before it,
+    /// so the promised resume survives an OS crash.
     pub(crate) fn record_cut(&mut self, phase: &Phase) -> Result<(), CheckpointError> {
         self.journal.append(&Record::Cut { phase: phase.to_string() })
     }
@@ -804,6 +866,7 @@ pub fn fingerprint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stsyn_bdd::Budget;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -847,7 +910,7 @@ mod tests {
         let dir = temp_dir("journal");
         let path = dir.join(JOURNAL_FILE);
         let records = sample_records();
-        let mut w = JournalWriter::create(&path).unwrap();
+        let mut w = JournalWriter::create(&dir).unwrap();
         for rec in &records {
             w.append(rec).unwrap();
         }
@@ -999,6 +1062,116 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// matching(5) with its default schedule, and that schedule's
+    /// fingerprint under default options.
+    fn matching5() -> (crate::AddConvergence, crate::schedule::Schedule, u64) {
+        let (p, i) = stsyn_cases::matching::matching(5);
+        let problem = crate::AddConvergence::new(p.clone(), i.clone()).unwrap();
+        let schedule = problem.default_schedule();
+        let fp = fingerprint(&p, &i, &crate::Options::default(), &schedule);
+        (problem, schedule, fp)
+    }
+
+    fn printed(problem: &crate::AddConvergence, outcome: &crate::Outcome) -> String {
+        stsyn_protocol::printer::to_dsl("out", &outcome.extract_protocol(), problem.invariant())
+    }
+
+    /// Hold off the interval's durability point for the rest of the test,
+    /// so that only the kinds of records appended decide the syncs.
+    fn hold_interval(s: &mut CheckpointSession) {
+        s.journal.last_sync = Instant::now() + Duration::from_secs(3600);
+    }
+
+    fn run(
+        problem: &crate::AddConvergence,
+        opts: &crate::Options,
+        schedule: &crate::schedule::Schedule,
+        session: &mut CheckpointSession,
+    ) -> Result<crate::Outcome, crate::SynthesisError> {
+        crate::heuristic::synthesize_checkpointed(
+            problem.protocol(),
+            problem.invariant(),
+            opts,
+            schedule.clone(),
+            Some(session),
+        )
+    }
+
+    #[test]
+    fn completed_run_never_syncs_and_resumes_byte_identical() {
+        let (problem, schedule, fp) = matching5();
+        let dir = temp_dir("nosync");
+        let mut s = CheckpointSession::create(&dir, fp).unwrap();
+        hold_interval(&mut s);
+        let fresh = run(&problem, &crate::Options::default(), &schedule, &mut s).unwrap();
+        s.record_done().unwrap();
+        assert_eq!(s.journal.syncs, 0);
+        drop(s);
+        let resumed = problem.synthesize_resumable(&crate::Options::default(), &dir).unwrap();
+        assert_eq!(printed(&problem, &fresh), printed(&problem, &resumed));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cut_run_syncs_once_at_the_cut() {
+        let (problem, schedule, fp) = matching5();
+        let reference = problem.synthesize(&crate::Options::default()).unwrap();
+        let dir = temp_dir("cut");
+        let mut s = CheckpointSession::create(&dir, fp).unwrap();
+        hold_interval(&mut s);
+        let opts = crate::Options {
+            budget: Some(Budget::unlimited().with_fail_at_tick(reference.stats.bdd_ticks / 2)),
+            ..crate::Options::default()
+        };
+        let phase = match run(&problem, &opts, &schedule, &mut s) {
+            Err(crate::SynthesisError::ResourceExhausted { phase, .. }) => phase,
+            other => panic!("expected a cut, got {:?}", other.map(|_| ())),
+        };
+        assert_eq!(s.journal.syncs, 0);
+        assert!(!s.journal.pending.is_empty(), "no rank snapshot was written before the cut");
+        s.record_cut(&phase).unwrap();
+        assert_eq!(s.journal.syncs, 1);
+        let records = read_journal(&dir.join(JOURNAL_FILE)).unwrap().records;
+        let snapshots: Vec<PathBuf> = records
+            .iter()
+            .filter_map(|r| match r {
+                Record::RankLayer { file, .. } => Some(dir.join(file)),
+                _ => None,
+            })
+            .collect();
+        assert!(!snapshots.is_empty());
+        assert!(snapshots.iter().all(|f| !s.journal.pending.contains(f)));
+        assert!(matches!(records.last(), Some(Record::Cut { .. })));
+        drop(s);
+        let resumed = problem.synthesize_resumable(&crate::Options::default(), &dir).unwrap();
+        assert_eq!(printed(&problem, &reference), printed(&problem, &resumed));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_append_syncs_once_the_interval_has_passed() {
+        let dir = temp_dir("interval");
+        let mut w = JournalWriter::create(&dir).unwrap();
+        let step = Record::StepDone { pass: 1, rank: 1, step: 0 };
+        w.append(&step).unwrap();
+        assert_eq!(w.syncs, 0);
+        w.last_sync = Instant::now().checked_sub(SYNC_INTERVAL * 2).unwrap();
+        // `Done` is never a durability point, however late it comes.
+        w.append(&Record::Done).unwrap();
+        assert_eq!(w.syncs, 0);
+        w.append(&step).unwrap();
+        assert_eq!(w.syncs, 1);
+        // The sync restarted the interval.
+        w.append(&step).unwrap();
+        assert_eq!(w.syncs, 1);
+        // A `Cut` syncs at once.
+        w.append(&Record::Cut { phase: "ranking".into() }).unwrap();
+        assert_eq!(w.syncs, 2);
+        drop(w);
+        assert_eq!(read_journal(&dir.join(JOURNAL_FILE)).unwrap().records.len(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn resume_on_empty_dir_starts_fresh() {
         let dir = temp_dir("fresh");
@@ -1006,7 +1179,8 @@ mod tests {
         assert_eq!(s.journaled(1, 1, 0), (&[][..], false));
         assert!(s.warnings().is_empty());
         drop(s);
-        // The Start record is durable: a second resume validates it.
+        // The Start record outlives the session: a second resume
+        // validates it.
         assert!(CheckpointSession::resume(&dir, 9).is_ok());
         assert_eq!(CheckpointSession::resume(&dir, 8).unwrap_err(), CheckpointError::Mismatch);
         fs::remove_dir_all(&dir).unwrap();

@@ -33,8 +33,8 @@
 //!   Dijkstra-style guarded commands, so output reads like the paper's.
 //! * [`stats`] — ranking time / SCC-detection time / BDD node counts: the
 //!   quantities plotted in the paper's Figures 6–11.
-//! * [`checkpoint`] — crash-safe checkpointing: the fsync'd write-ahead
-//!   journal and atomic BDD snapshots behind
+//! * [`checkpoint`] — crash-safe checkpointing: the group-committed
+//!   write-ahead journal and atomic BDD snapshots behind
 //!   [`AddConvergence::synthesize_resumable`], which let an interrupted
 //!   run resume mid-pass and still produce bit-identical output.
 //! * [`analysis`] — the local-correctability analysis behind the paper's

@@ -312,7 +312,8 @@ impl AddConvergence {
             Ok(_) => session.record_done().map_err(SynthesisError::Checkpoint)?,
             Err(SynthesisError::ResourceExhausted { phase, .. }) => {
                 // The final checkpoint: everything committed is already
-                // fsync'd; mark the cut so resume knows it was deliberate.
+                // journaled; the cut marks it deliberate for resume and
+                // syncs it, so the promised resume survives an OS crash.
                 session.record_cut(phase).map_err(SynthesisError::Checkpoint)?;
             }
             Err(_) => {}
